@@ -18,7 +18,6 @@
 #include "src/dram/data_path.hh"
 #include "src/ecc/ecc_engine.hh"
 #include "src/imdb/query.hh"
-#include "src/sim/event_queue.hh"
 #include "src/sim/trace.hh"
 
 namespace {
@@ -104,37 +103,12 @@ BM_WriteLineEncoded(benchmark::State &state)
 BENCHMARK(BM_WriteLineEncoded);
 
 /**
- * Raw EventQueue churn: a steady state of `depth` live sources where
- * every pop reschedules its source further out, the access pattern the
- * event engine's wake loop generates (one pop, a handful of pushes).
- */
-void
-BM_EventQueue(benchmark::State &state)
-{
-    const unsigned depth = static_cast<unsigned>(state.range(0));
-    EventQueue q;
-    for (unsigned s = 0; s < depth; ++s)
-        q.push(/*cycle=*/s, /*source=*/s);
-    std::uint64_t n = 0;
-    for (auto _ : state) {
-        const EventQueue::Event e = q.pop();
-        benchmark::DoNotOptimize(e.source);
-        // Reschedule with a deterministic, branchy-looking stride so
-        // the heap sees realistic disorder rather than FIFO rotation.
-        q.push(e.cycle + 1 + (e.seq % 7) * 3, e.source);
-        ++n;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EventQueue)->Arg(8)->Arg(64)->Arg(512);
-
-/**
  * End-to-end phase-1 + MSHR-bounded replay of one design point,
  * reported in table-A records per second of host wall time (the
- * campaign `throughput` metric). Parameterized over the replay engine
- * so `--benchmark_filter=BM_SessionReplay` prints the step-vs-event
- * comparison directly; the two must agree cycle-for-cycle, so any gap
- * between them is pure host-time overhead of the losing loop.
+ * campaign `throughput` metric). Parameterized over the replay
+ * variant so `--benchmark_filter=BM_SessionReplay` prints park vs poll
+ * directly; the two agree cycle-for-cycle, so any gap between them is
+ * the host time parking saves (or costs).
  */
 void
 sessionReplayBench(benchmark::State &state, ReplayEngineKind engine)

@@ -84,12 +84,12 @@ class WindowSeries
         // Windows are appended in order; samples mostly arrive nearly
         // sorted in time, so scanning back a few entries finds the slot.
         if (windows_.empty() || idx > windows_.back().index) {
-            // Zero-fill any skipped span so a clock that jumps over a
-            // stall window leaves the same window sequence a ticking
-            // clock would: explicit idle windows, not holes. The fill
-            // is capacity-bounded -- a jump wider than maxWindows
-            // materializes only the trailing maxWindows windows and
-            // counts the rest straight into evicted_.
+            // Zero-fill any skipped span so a sample that lands past
+            // an idle stretch leaves the same window sequence a
+            // ticking clock would: explicit idle windows, not holes.
+            // The fill is capacity-bounded -- a gap wider than
+            // maxWindows materializes only the trailing maxWindows
+            // windows and counts the rest straight into evicted_.
             std::uint64_t next =
                 windows_.empty() ? idx : windows_.back().index + 1;
             if (idx - next + 1 > maxWindows_) {

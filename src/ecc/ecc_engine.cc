@@ -93,9 +93,9 @@ EccEngine::parityBytesPerLine() const
 }
 
 unsigned
-EccEngine::numChips() const
+EccEngine::numChipsFor(EccScheme scheme)
 {
-    switch (scheme_) {
+    switch (scheme) {
       case EccScheme::None:   return 16;
       case EccScheme::SscDsd: return 36;
       default:                return 18;

@@ -100,7 +100,10 @@ class EccEngine
     }
 
     /** Total chips in the rank (data + parity) for injection purposes. */
-    unsigned numChips() const;
+    unsigned numChips() const { return numChipsFor(scheme_); }
+
+    /** numChips() without constructing an engine. */
+    static unsigned numChipsFor(EccScheme scheme);
 
     /** Data chips in the rank. */
     unsigned numDataChips() const;

@@ -20,18 +20,6 @@ faultModelName(FaultModel model)
     panic("unknown FaultModel");
 }
 
-FaultModel
-parseFaultModel(const std::string &name)
-{
-    for (FaultModel m : {FaultModel::None, FaultModel::Transient,
-                         FaultModel::StuckAt, FaultModel::Chipkill}) {
-        if (faultModelName(m) == name)
-            return m;
-    }
-    fatal("unknown fault model '", name,
-          "' (none, transient, stuckat, chipkill)");
-}
-
 void
 FaultStats::registerIn(StatGroup &group) const
 {

@@ -31,7 +31,6 @@ namespace sam {
 enum class FaultModel { None, Transient, StuckAt, Chipkill };
 
 std::string faultModelName(FaultModel model);
-FaultModel parseFaultModel(const std::string &name);
 
 /** Configuration of the live fault source. */
 struct FaultConfig

@@ -31,10 +31,10 @@ wallMs()
 }
 
 /** Canonical JSON of everything that determines a run's results.
- *  `config.engine` is deliberately absent: the step and event replay
- *  engines are command-stream and stats identical (enforced by the
- *  engine_diff suite), so a journal written under one engine validly
- *  resumes a campaign running under the other. */
+ *  `config.engine` is deliberately absent: parking and polling replay
+ *  the same issue code in the same order (pinned by test_engine_diff
+ *  and FuzzCrossEngine), so it never changes a result. No CLI sets it;
+ *  campaigns always run the default. */
 Json
 specIdentityJson(const RunSpec &spec)
 {

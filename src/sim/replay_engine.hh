@@ -1,29 +1,29 @@
 /**
  * @file
- * The two trace-replay engines of phase 2.
+ * The phase-2 trace replay loop.
  *
- * `replayStep` is the original round-walking loop: every round polls
- * every core for issue opportunities (in core-id order) and then
- * services one request. `replayEvent` replays the same round structure
- * through an EventQueue of stall-release events, so blocked cores are
- * never polled and serve-only spans run without touching the core
- * array at all.
+ * Replay walks each epoch in rounds. A round first lets every core
+ * issue (in core-id order, at most 32 requests each) and then
+ * services one request. That order fixes the RequestQueue insertion
+ * sequence, which FR-FCFS uses for tie-breaking, so it is the same
+ * whichever way the loop finds the cores to poll.
  *
- * Both engines are command-stream identical by construction: the
- * per-round "issue in core-id order, then serve one" discipline fixes
- * the RequestQueue insertion sequence, which FR-FCFS uses for
- * tie-breaking, so any reordering would change scheduling picks. The
- * event engine therefore skips work the step engine provably wastes
- * (polls of cores whose block condition cannot have cleared) instead
- * of reordering work. The cross-engine differential harness
- * (tests/test_engine_diff.cc) pins the equivalence command-by-command.
+ * The loop's one variant is *parking*. A core that stops issuing
+ * records why: its MSHR window is full with no completion to retire
+ * against, the controller queues are backpressured, or its epoch is
+ * done. A parked core is left out of the issue sweeps until the
+ * completion handler clears the reason (a read of its own completes,
+ * or the queues drain below the backpressure threshold). Those are
+ * the only events that can unblock it, so a parked sweep skips
+ * exactly the polls that would have issued nothing. The polling
+ * variant visits every core every round and is the reference that
+ * tests/test_engine_diff.cc compares the parked loop against.
  */
 
 #ifndef SAM_SIM_REPLAY_ENGINE_HH
 #define SAM_SIM_REPLAY_ENGINE_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/types.hh"
@@ -33,24 +33,27 @@
 
 namespace sam {
 
-/** Which phase-2 replay loop drives the controller. */
+/** How the replay loop finds the cores to poll each round. */
 enum class ReplayEngineKind
 {
-    Step,   ///< Original loop: poll every core every round.
-    Event,  ///< EventQueue-driven: skip blocked cores, jump stalls.
+    Step,   ///< Poll every core every round (the reference).
+    Event,  ///< Park a blocked core until a completion unblocks it.
 };
 
-const std::string &replayEngineName(ReplayEngineKind kind);
+/**
+ * Replay the captured per-core traces through the controller and
+ * return the cycle the last request completes.
+ */
+Cycle replayTraces(const std::vector<std::unique_ptr<CorePort>> &ports,
+                   MemoryController &controller, DesignModel &model,
+                   unsigned mshrs_per_core, ReplayEngineKind kind);
 
-/** Parse "step"/"event"; fatal on anything else. */
-ReplayEngineKind parseReplayEngine(const std::string &name);
-
-/** The original step-walking replay loop (kept behind --engine=step). */
+/** replayTraces with every core polled every round. */
 Cycle replayStep(const std::vector<std::unique_ptr<CorePort>> &ports,
                  MemoryController &controller, DesignModel &model,
                  unsigned mshrs_per_core);
 
-/** The EventQueue-driven replay loop (the default engine). */
+/** replayTraces with blocked cores parked (the default). */
 Cycle replayEvent(const std::vector<std::unique_ptr<CorePort>> &ports,
                   MemoryController &controller, DesignModel &model,
                   unsigned mshrs_per_core);

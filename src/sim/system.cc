@@ -183,7 +183,8 @@ System::runQuery(const Query &query)
         telemetry->attach(device);
         controller.setTelemetry(telemetry.get());
     }
-    rs.cycles = replay(ports, controller, model);
+    rs.cycles = replayTraces(ports, controller, model,
+                             config_.mshrsPerCore, config_.engine);
     if (checker) {
         rs.checkedCommands = checker->commandCount();
         if (!checker->clean())
@@ -263,17 +264,6 @@ System::runQuery(const Query &query)
         tp.dirty = true;
     }
     return rs;
-}
-
-Cycle
-System::replay(const std::vector<std::unique_ptr<CorePort>> &ports,
-               MemoryController &controller, DesignModel &model)
-{
-    if (config_.engine == ReplayEngineKind::Step) {
-        return replayStep(ports, controller, model,
-                          config_.mshrsPerCore);
-    }
-    return replayEvent(ports, controller, model, config_.mshrsPerCore);
 }
 
 } // namespace sam

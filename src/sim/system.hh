@@ -63,12 +63,12 @@ struct SimConfig
     Cycle computePerValue = 1;
 
     /**
-     * Phase-2 replay engine. The EventQueue-driven engine is the
-     * default; the step-walking loop stays selectable (--engine=step)
-     * so the cross-engine differential harness can drive both from the
-     * same binary. The engines are command-stream identical, so the
-     * choice never changes cycles, stats, or results -- which is also
-     * why it is excluded from the journal's spec identity hash.
+     * Phase-2 replay variant: park blocked cores (Event, the default)
+     * or poll every core every round (Step, the reference the
+     * park-vs-poll differential tests compare against). Both run the
+     * same issue code in the same order, so the choice never changes
+     * cycles, stats, or results -- which is why it is excluded from
+     * the journal's spec identity hash. No command-line flag sets it.
      */
     ReplayEngineKind engine = ReplayEngineKind::Event;
 
@@ -191,11 +191,6 @@ class System
 
     /** Materialized tables for a layout, rebuilt if dirtied. */
     TablePair &tablesFor(LayoutKind layout);
-
-    /** Timing replay of the captured traces (config_.engine picks the
-     *  loop; both live in src/sim/replay_engine.cc). */
-    Cycle replay(const std::vector<std::unique_ptr<CorePort>> &ports,
-                 MemoryController &controller, DesignModel &model);
 
     SimConfig config_;
     DesignSpec spec_;

@@ -1,13 +1,14 @@
 /**
  * @file
- * Cross-engine differential tests: the step-walking and EventQueue
- * replay engines must be indistinguishable -- same end cycles, same
- * stat counters, same ECC/RAS accounting, and the same Device command
- * stream command-by-command. Every design runs every quick benchmark
- * query under both engines; chipkill-at-cycle-T fault runs are
- * included so the comparison covers RAS retries and retirement, and
- * telemetry-on-vs-off cycle identity is pinned under the event engine.
- */
+ * Park-vs-poll differential tests: the replay loop with blocked cores
+ * parked (ReplayEngineKind::Event) must be indistinguishable from the
+ * same loop polling every core every round (ReplayEngineKind::Step)
+ * -- same end cycles, same stat counters, same ECC/RAS accounting, and
+ * the same Device command stream command-by-command. Every design runs
+ * every quick benchmark query both ways; chipkill-at-cycle-T fault
+ * runs are included so the comparison covers RAS retries and
+ * retirement, and telemetry-on-vs-off cycle identity is pinned with
+ * parking on. */
 
 #include <gtest/gtest.h>
 
@@ -44,7 +45,7 @@ allBenchmarkQueries()
 /**
  * Shared pre-encoded table snapshots: every runUnder() System starts
  * from identical bytes, and the suite does not pay a full table encode
- * per (design, query, engine) combination.
+ * per (design, query, replay variant) combination.
  */
 std::shared_ptr<TableCache>
 sharedTables()
@@ -54,10 +55,10 @@ sharedTables()
 }
 
 /**
- * Run one query on a fresh System under the given engine, with the
- * full command trace captured. Fresh per call: RAS error logs and
+ * Run one query on a fresh System with the given replay variant, with
+ * the full command trace captured. Fresh per call: RAS error logs and
  * fault-injector state accumulate inside a System, and a fair diff
- * needs both engines to start from the same state.
+ * needs both variants to start from the same state.
  */
 RunStats
 runUnder(SimConfig cfg, ReplayEngineKind engine, const Query &query)
@@ -125,7 +126,7 @@ expectSameStats(const RunStats &step, const RunStats &event,
 }
 
 // --------------------------------------------------------------------
-// Every design x every benchmark query, both engines
+// Every design x every benchmark query, parked and polled
 // --------------------------------------------------------------------
 
 class EngineDiffTest : public ::testing::TestWithParam<DesignKind>
@@ -163,7 +164,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------------------------------------
 // Fault paths: chipkill at cycle T exercises RAS retries, scrub
-// writebacks, and retirement under both engines
+// writebacks, and retirement both ways
 // --------------------------------------------------------------------
 
 TEST(EngineDiffFaults, ChipkillAtCycleTMatchesAcrossEngines)
@@ -198,7 +199,7 @@ TEST(EngineDiffFaults, TransientFaultsMatchAcrossEngines)
 
 // --------------------------------------------------------------------
 // Telemetry must be a pure observer: enabling it cannot move cycles
-// under the event engine (satellite 4 pin)
+// with parking on
 // --------------------------------------------------------------------
 
 TEST(EngineDiffTelemetry, TelemetryOnVsOffIsCycleIdenticalUnderEvent)

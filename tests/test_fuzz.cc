@@ -216,13 +216,13 @@ TEST(FuzzDifferential, AllDesignsAgreeOnTheSameRandomSequence)
 }
 
 // --------------------------------------------------------------------
-// Cross-engine fuzzing: random design/geometry/fault configs must be
-// indistinguishable between the step and event replay engines
+// Park-vs-poll fuzzing: random design/geometry/fault configs must be
+// indistinguishable whether the replay loop parks or polls cores
 // --------------------------------------------------------------------
 
 /**
  * One random system shape: design, ECC scheme, core count and MSHR
- * depth (the knobs the replay engines schedule around), table
+ * depth (the knobs the replay loop schedules around), table
  * geometry, cache scale, and a random fault model -- including
  * chipkill at a random cycle T.
  */
@@ -269,12 +269,12 @@ randomSystemConfig(Rng &rng)
 
 TEST(FuzzCrossEngine, RandomConfigsMatchStepEngineUnderChecker)
 {
-    // Differential fuzz of the tentpole claim: for ANY system shape,
-    // the EventQueue engine's timing is bit-identical to the step
-    // loop's. Both runs keep the protocol oracle armed, so a scheduling
-    // bug that produced an illegal command stream panics rather than
-    // silently matching. Fresh System per engine: fault injectors and
-    // RAS logs are stateful.
+    // Differential fuzz of parking: for ANY system shape, the replay
+    // loop that parks blocked cores is bit-identical to the one that
+    // polls every core. Both runs keep the protocol oracle armed, so a
+    // scheduling bug that produced an illegal command stream panics
+    // rather than silently matching. Fresh System per run: fault
+    // injectors and RAS logs are stateful.
     for (unsigned trial = 0; trial < 12; ++trial) {
         Rng rng(0xe7e + trial);
         const SimConfig shape = randomSystemConfig(rng);
@@ -322,7 +322,7 @@ TEST(FuzzCrossEngine, ChaosSeedsMatchAcrossEngines)
 {
     // The chaos harness's seed convention (0xc405 + k) drives its
     // kill-point schedule; reuse the same seed stream here to pin the
-    // configs it replays to cross-engine identity as well.
+    // configs it replays to park-vs-poll identity as well.
     for (unsigned k = 0; k < 4; ++k) {
         Rng rng(0xc405 + k);
         const SimConfig shape = randomSystemConfig(rng);

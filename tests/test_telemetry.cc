@@ -161,9 +161,9 @@ TEST(WindowSeries, AggregatesSamplesIntoWindows)
 
 TEST(WindowSeries, SkippedSpansAreZeroFilled)
 {
-    // A clock that jumps over a stall window must leave explicit idle
-    // windows behind, not holes: the event engine's skipped spans have
-    // to read the same as the step engine ticking through them.
+    // A sample that lands past an idle stretch must leave explicit
+    // idle windows behind, not holes, so idle time reads the same as a
+    // clock ticking through it.
     WindowSeries s(10, 16);
     s.add(5, 1.0);
     s.add(95, 1.0); // window 9; windows 1..8 materialize as zeros

@@ -150,11 +150,32 @@ def check_flag_validation(samcampaign, samsim, tmp):
     cases = [([samcampaign, "--fig", "12", "--jobs", "0"], "--jobs 0"),
              ([samcampaign, "--fig", "12", "--chaos", "banana"],
               "--chaos banana"),
-             ([samcampaign, "--fig", "99"], "--fig 99")]
+             ([samcampaign, "--fig", "99"], "--fig 99"),
+             ([samcampaign, "--engine", "step"], "--engine step"),
+             ([samcampaign, "--fig", "12", "--out",
+               os.path.join(tmp, "no-such-dir")], "--out <missing dir>")]
     if samsim:
         cases += [([samsim, "--jobs", "0"], "samsim --jobs 0"),
                   ([samsim, "--sel", "1.5"], "samsim --sel 1.5"),
-                  ([samsim, "--ta", "banana"], "samsim --ta banana")]
+                  ([samsim, "--ta", "banana"], "samsim --ta banana"),
+                  ([samsim, "--design", "banana"],
+                   "samsim --design banana"),
+                  ([samsim, "--query", "banana"],
+                   "samsim --query banana"),
+                  ([samsim, "--ecc", "banana"], "samsim --ecc banana"),
+                  ([samsim, "--fault-model", "banana"],
+                   "samsim --fault-model banana"),
+                  ([samsim, "--tech", "banana"], "samsim --tech banana"),
+                  ([samsim, "--fault-model", "chipkill",
+                    "--chipkill-chip", "99"],
+                   "samsim --fault-model chipkill --chipkill-chip 99"),
+                  ([samsim, "--fail-chip", "99"],
+                   "samsim --fail-chip 99"),
+                  ([samsim, "--design", "GS-DRAM", "--fail-chip", "16"],
+                   "samsim --design GS-DRAM --fail-chip 16"),
+                  ([samsim, "--chipkill-chip", "3"],
+                   "samsim --chipkill-chip without chipkill model"),
+                  ([samsim, "--engine", "step"], "samsim --engine step")]
     for cmd, label in cases:
         proc = run(cmd, tmp)
         expect_exit(f"validation {label}", proc, 2)

@@ -33,6 +33,8 @@
  *   samcampaign --fig 12 --quick --resume ./JOURNAL_fig12.jsonl
  */
 
+#include <sys/stat.h>
+
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -70,9 +72,6 @@ usage(int code)
         "                         executor\n"
         "  --no-telemetry         drop the per-run latency histograms\n"
         "                         from the BENCH JSON\n"
-        "  --engine <step|event>  phase-2 replay loop (default event;\n"
-        "                         BENCH/JOURNAL output is identical\n"
-        "                         either way, wall clocks excepted)\n"
         "  --ta <n> / --tb <n>    override table record counts (tiny\n"
         "                         campaigns for smoke tests)\n"
         "  --only <s1,s2,...>     keep only runs whose id contains one\n"
@@ -392,7 +391,6 @@ main(int argc, char **argv)
     std::string out_dir = ".";
     bool verify = false;
     bool telemetry = true;
-    sam::ReplayEngineKind engine = sam::ReplayEngineKind::Event;
     unsigned ta_override = 0;
     unsigned tb_override = 0;
     std::vector<std::string> only;
@@ -448,13 +446,7 @@ main(int argc, char **argv)
             verify = true;
         else if (a == "--no-telemetry")
             telemetry = false;
-        else if (a == "--engine") {
-            const std::string v = next_arg(i, "--engine");
-            if (v != "step" && v != "event")
-                usageError("--engine wants step or event, got '" + v +
-                           "'");
-            engine = sam::parseReplayEngine(v);
-        } else if (a == "--ta")
+        else if (a == "--ta")
             ta_override = parseCount("--ta", next_arg(i, "--ta"), 16,
                                      1u << 24);
         else if (a == "--tb")
@@ -519,6 +511,9 @@ main(int argc, char **argv)
     if (!resume_flag.empty() && !journal_flag.empty())
         usageError("--resume already names the journal; drop "
                    "--journal");
+    struct stat out_st;
+    if (::stat(out_dir.c_str(), &out_st) != 0 || !S_ISDIR(out_st.st_mode))
+        usageError("--out '" + out_dir + "' is not an existing directory");
 
     const std::string scale = sam::bench::scaleName();
     bool any_failed = false;
@@ -562,10 +557,6 @@ main(int argc, char **argv)
             for (RunSpec &spec : book.specs) {
                 spec.config.telemetry.enabled = telemetry;
                 spec.config.collectStatsText = false;
-                // The engines are command-stream identical, so the
-                // choice is invisible in every output field and stays
-                // out of the journal's spec identity hash.
-                spec.config.engine = engine;
                 if (ta_override != 0)
                     spec.config.taRecords = ta_override;
                 if (tb_override != 0)

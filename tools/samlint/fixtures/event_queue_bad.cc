@@ -1,6 +1,6 @@
-// Fixture: what the replay EventQueue must never be -- a "heap" whose
-// order leaks allocation addresses or hash-table layout instead of the
-// deterministic (cycle, source, seq) key.
+// Fixture: what an event queue must never be -- a "heap" whose order
+// leaks allocation addresses or hash-table layout instead of a
+// deterministic integer key such as (cycle, source, seq).
 #include <cstdint>
 #include <map>
 #include <unordered_map>

@@ -25,6 +25,7 @@
 #include "src/common/json.hh"
 #include "src/common/logging.hh"
 #include "src/core/session.hh"
+#include "src/ecc/ecc_engine.hh"
 #include "src/runner/campaign.hh"
 #include "src/sim/system.hh"
 #include "src/telemetry/perfetto.hh"
@@ -73,9 +74,7 @@ usage(int code)
         "                         JSON of the DRAM command stream\n"
         "                         (open in ui.perfetto.dev)\n"
         "  --telemetry-window <n> time-series window width in cycles\n"
-        "                         (default 4096)\n"
-        "  --engine <step|event>  phase-2 replay loop (default event;\n"
-        "                         both are command-stream identical)\n");
+        "                         (default 4096)\n");
     std::exit(code);
 }
 
@@ -118,6 +117,18 @@ parseFraction(const char *flag, const char *text, double lo, double hi)
     return v;
 }
 
+FaultModel
+parseFaultModel(const std::string &name)
+{
+    for (FaultModel m : {FaultModel::None, FaultModel::Transient,
+                         FaultModel::StuckAt, FaultModel::Chipkill}) {
+        if (faultModelName(m) == name)
+            return m;
+    }
+    usageError("--fault-model wants none, transient, stuckat, or "
+               "chipkill, got '" + name + "'");
+}
+
 DesignKind
 parseDesign(const std::string &name)
 {
@@ -129,7 +140,7 @@ parseDesign(const std::string &name)
         if (designName(d) == name)
             return d;
     }
-    fatal("unknown design '", name, "' (try --list)");
+    usageError("unknown design '" + name + "' (try --list)");
 }
 
 EccScheme
@@ -141,7 +152,7 @@ parseEcc(const std::string &name)
         if (eccSchemeName(e) == name)
             return e;
     }
-    fatal("unknown ECC scheme '", name, "' (try --list)");
+    usageError("unknown ECC scheme '" + name + "' (try --list)");
 }
 
 Query
@@ -160,7 +171,7 @@ parseQuery(const std::string &name, unsigned proj, double sel,
         if (q.name == name)
             return q;
     }
-    fatal("unknown query '", name, "' (try --list)");
+    usageError("unknown query '" + name + "' (try --list)");
 }
 
 void
@@ -255,6 +266,7 @@ main(int argc, char **argv)
     unsigned proj = 8;
     double sel = 0.25;
     int fail_chip = -1;
+    bool chipkill_chip_given = false;
     unsigned jobs = 1;
     std::string scale;
     bool ta_given = false;
@@ -285,8 +297,12 @@ main(int argc, char **argv)
             query_name = next_arg(i, "--query");
         else if (a == "--ecc")
             ecc_name = next_arg(i, "--ecc");
-        else if (a == "--tech")
+        else if (a == "--tech") {
             tech_name = next_arg(i, "--tech");
+            if (tech_name != "DRAM" && tech_name != "RRAM")
+                usageError("--tech wants DRAM or RRAM, got '" +
+                           tech_name + "'");
+        }
         else if (a == "--proj")
             proj = static_cast<unsigned>(parseCount(
                 "--proj", next_arg(i, "--proj"), 1, 4096));
@@ -328,10 +344,12 @@ main(int argc, char **argv)
             cfg.faults.chipkillAt = parseCount(
                 "--chipkill-at", next_arg(i, "--chipkill-at"), 0,
                 ~0ull);
-        } else if (a == "--chipkill-chip")
+        } else if (a == "--chipkill-chip") {
             cfg.faults.chipkillChip = static_cast<unsigned>(
                 parseCount("--chipkill-chip",
                            next_arg(i, "--chipkill-chip"), 0, 1024));
+            chipkill_chip_given = true;
+        }
         else if (a == "--fault-seed")
             cfg.faults.seed = parseCount(
                 "--fault-seed", next_arg(i, "--fault-seed"), 0, ~0ull);
@@ -360,13 +378,7 @@ main(int argc, char **argv)
             cfg.telemetry.windowCycles = parseCount(
                 "--telemetry-window",
                 next_arg(i, "--telemetry-window"), 16, 1ull << 32);
-        else if (a == "--engine") {
-            const std::string v = next_arg(i, "--engine");
-            if (v != "step" && v != "event")
-                usageError("--engine wants step or event, got '" + v +
-                           "'");
-            cfg.engine = parseReplayEngine(v);
-        } else
+        else
             usageError("unknown option '" + a + "' (try --help)");
     }
 
@@ -388,17 +400,36 @@ main(int argc, char **argv)
             cfg.tbRecords = tb;
     }
 
-    try {
-        cfg.ecc = parseEcc(ecc_name);
-        if (!tech_name.empty()) {
-            cfg.overrideTech = true;
-            cfg.tech = tech_name == "RRAM" ? MemTech::RRAM
-                                           : MemTech::DRAM;
-        }
-        const DesignKind design = parseDesign(design_name);
-        const Query query =
-            parseQuery(query_name, proj, sel, cfg.taFields);
+    cfg.ecc = parseEcc(ecc_name);
+    if (!tech_name.empty()) {
+        cfg.overrideTech = true;
+        cfg.tech = tech_name == "RRAM" ? MemTech::RRAM : MemTech::DRAM;
+    }
+    const DesignKind design = parseDesign(design_name);
+    const Query query = parseQuery(query_name, proj, sel, cfg.taFields);
 
+    // Chip numbers index the design's effective scheme (GS-DRAM runs
+    // without chipkill ECC whatever --ecc says).
+    const EccScheme scheme =
+        makeDesign(design, cfg.ecc, cfg.tech, cfg.overrideTech).ecc;
+    const unsigned chips = EccEngine::numChipsFor(scheme);
+    const auto checkChip = [&](const char *flag, unsigned chip) {
+        if (chip >= chips)
+            usageError(std::string(flag) + " wants a chip in [0, " +
+                       std::to_string(chips - 1) + "] for " +
+                       eccSchemeName(scheme) + ", got " +
+                       std::to_string(chip));
+    };
+    if (fail_chip >= 0)
+        checkChip("--fail-chip", static_cast<unsigned>(fail_chip));
+    if (chipkill_chip_given) {
+        if (cfg.faults.model != FaultModel::Chipkill)
+            usageError("--chipkill-chip needs --fault-model chipkill "
+                       "(or --chipkill-at)");
+        checkChip("--chipkill-chip", cfg.faults.chipkillChip);
+    }
+
+    try {
         Session session(cfg);
         std::printf("%s on %s (%s, Ta=%llu Tb=%llu records)\n",
                     query.name.c_str(), design_name.c_str(),
