@@ -1,31 +1,18 @@
 /**
  * @file
- * Independent DDR4/RRAM protocol oracle.
+ * DDR4/RRAM protocol oracle: a driver over the SpecModel rule table.
  *
  * The ProtocolChecker observes the command stream a Device emits
- * (ACT/PRE/RD/WR/REF plus SAM I/O mode switches) and re-derives the
- * legality of every command from TimingParams with its own per-bank /
- * per-rank / per-channel state machines. It deliberately shares no
- * scheduling code with Device: the engine reserves resources forward in
- * time, the checker replays the finished stream in wall-clock order and
- * checks pairwise constraints backward -- so a bug in the engine's
- * reservation logic cannot hide itself from the oracle.
- *
- * Checked constraints:
- *  - bank state machine: no CAS to a closed bank or to the wrong row,
- *    no double ACT, ACT only tRP after PRE, REF only with every bank of
- *    the rank precharged;
- *  - bank timing: tRCD, tRAS, tRC, tWR, tRTP;
- *  - rank timing: tRRD_S/L, the 4-deep tFAW sliding window, tCCD_S/L,
- *    tWTR_S/L, refresh blackout (tRFC) and the tREFI postponement
- *    deadline (at most 8 intervals, as DDR4 allows);
- *  - SAM mode rules (Section 5.3): a switch must serialize after the
- *    rank's last CAS, consecutive switches and the first CAS after a
- *    switch are tRTR apart, and every CAS's mode must match the rank's
- *    current mode;
- *  - data bus: burst windows derived from CAS time + CL/CWL must not
- *    overlap, rank-to-rank handovers need a tRTR bubble, and write data
- *    must trail read data on the same rank by the turnaround bubble.
+ * (ACT/PRE/RD/WR/REF plus SAM I/O mode switches), orders it once by
+ * issue cycle (specOrder), and walks it through a SpecModel
+ * (src/check/spec_model): each command is reported under every rule it
+ * breaks -- a bank/mode/refresh state rule, a pairwise issue-gap rule
+ * (tRCD, tRP, tRAS/tRC, tRRD_S/L, tCCD_S/L, tWR, tWTR_S/L, tRTP, tRFC,
+ * SAM's Section 5.3 mode rules, data-bus overlap, rank-switch and
+ * read-to-write bubbles), the tFAW window, or the tREFI postponement
+ * deadline -- and then applied. The checker makes no timing comparison
+ * of its own: the table is the one timing specification, and the
+ * imperative engine in src/dram/device is checked against it.
  *
  * The command bus itself (one command slot per cycle) is not modelled
  * by the engine and therefore not checked.
@@ -35,7 +22,6 @@
 #define SAM_CHECK_PROTOCOL_CHECKER_HH
 
 #include <cstddef>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -82,8 +68,9 @@ class ProtocolChecker
     void attach(Device &dev);
 
     /**
-     * Sort the observed stream and run all checks. Idempotent until
-     * more commands are observed. Returns all violations found.
+     * Sort the observed stream and check it against the spec, in
+     * stream order. Idempotent until more commands are observed.
+     * Returns all violations found.
      */
     const std::vector<Violation> &violations();
 
@@ -96,63 +83,7 @@ class ProtocolChecker
     std::string report(std::size_t max_violations = 20);
 
   private:
-    struct BankCheck
-    {
-        bool open = false;
-        std::uint64_t row = 0;
-        bool hasAct = false, hasPre = false, hasRd = false,
-             hasWr = false;
-        Cycle lastAct = 0;   ///< Last ACT issue.
-        Cycle lastPre = 0;   ///< Last PRE issue.
-        Cycle lastRdCas = 0; ///< Last RD CAS issue (tRTP).
-        Cycle lastWrEnd = 0; ///< Last WR data end (tWR).
-    };
-
-    struct RankCheck
-    {
-        bool hasAct = false, hasCas = false, hasWr = false,
-             hasRd = false, hasSwitch = false, hasRef = false;
-        Cycle lastAct = 0;
-        Cycle lastCas = 0;
-        Cycle lastWrEnd = 0; ///< tWTR_S.
-        std::vector<Cycle> groupLastAct;   ///< tRRD_L.
-        std::vector<Cycle> groupLastCas;   ///< tCCD_L.
-        std::vector<Cycle> groupLastWrEnd; ///< tWTR_L.
-        std::vector<char> groupHasAct, groupHasCas, groupHasWr;
-        std::deque<Cycle> actWindow; ///< Up to 4 last ACTs (tFAW).
-        AccessMode mode = AccessMode::Regular;
-        Cycle lastSwitch = 0;
-        Cycle refStart = 0, refEnd = 0; ///< Last refresh blackout.
-        std::uint64_t refCount = 0;     ///< For the tREFI deadline.
-    };
-
-    /** One derived data-bus burst, checked in a second pass. */
-    struct Burst
-    {
-        Cycle start = 0, end = 0;
-        unsigned channel = 0, rank = 0;
-        bool isWrite = false;
-        std::size_t index = 0; ///< Sorted-stream index of the CAS.
-        Command cmd;
-    };
-
     void run();
-    void flag(const std::string &constraint, const Command &cmd,
-              std::size_t index, const std::string &detail);
-    /** Commands addressed to a refreshing rank are illegal (tRFC). */
-    void checkRefreshBlackout(const RankCheck &rank, const Command &cmd,
-                              std::size_t index);
-    void checkAct(BankCheck &bank, RankCheck &rank, const Command &cmd,
-                  std::size_t index);
-    void checkPre(BankCheck &bank, const Command &cmd,
-                  std::size_t index);
-    void checkCas(BankCheck &bank, RankCheck &rank, const Command &cmd,
-                  std::size_t index);
-    void checkModeSwitch(RankCheck &rank, const Command &cmd,
-                         std::size_t index);
-    void checkRef(RankCheck &rank, const Command &cmd,
-                  std::size_t index);
-    void checkDataBus(const std::vector<Burst> &bursts);
 
     Geometry geom_;
     TimingParams timing_;

@@ -1,13 +1,12 @@
 #include "src/check/spec_model.hh"
 
 #include <algorithm>
-#include <deque>
-#include <memory>
 #include <sstream>
 #include <unordered_set>
 
 #include "src/check/protocol_checker.hh"
 #include "src/common/logging.hh"
+#include "src/dram/device.hh"
 
 namespace sam {
 
@@ -56,7 +55,37 @@ relName(SpecRankRel rel)
     panic("unknown SpecRankRel");
 }
 
+const char *
+modeName(AccessMode mode)
+{
+    return mode == AccessMode::Stride ? "stride" : "regular";
+}
+
+int
+kindPriority(CmdKind kind)
+{
+    switch (kind) {
+      case CmdKind::Pre:        return 0;
+      case CmdKind::Act:        return 1;
+      case CmdKind::Ref:        return 2;
+      case CmdKind::Rd:
+      case CmdKind::Wr:         return 3;
+      case CmdKind::ModeSwitch: return 4;
+    }
+    panic("unknown CmdKind");
+}
+
+const std::string kFawName = "tFAW";
+
 } // namespace
+
+bool
+specOrder(const Command &a, const Command &b)
+{
+    if (a.at != b.at)
+        return a.at < b.at;
+    return kindPriority(a.kind) < kindPriority(b.kind);
+}
 
 std::vector<SpecRule>
 specRuleTable(const TimingParams &t)
@@ -64,7 +93,7 @@ specRuleTable(const TimingParams &t)
     std::vector<SpecRule> rules;
     const auto add = [&rules](CmdKind prev, CmdKind next, SpecScope scope,
                               SpecRankRel rel, long long gap,
-                              const char *name) {
+                              const char *name, unsigned bubble = 0) {
         // A non-positive issue gap can never bind (history is always at
         // or before the issue floor), so the rule is dropped.
         if (gap <= 0)
@@ -75,6 +104,7 @@ specRuleTable(const TimingParams &t)
         r.scope = scope;
         r.rankRel = rel;
         r.gap = static_cast<unsigned>(gap);
+        r.bubble = bubble;
         r.name = name;
         rules.push_back(std::move(r));
     };
@@ -155,8 +185,9 @@ specRuleTable(const TimingParams &t)
     // Data bus occupancy, expressed as issue-to-issue gaps: a burst
     // occupies [issue + offset, issue + offset + tBL) where the offset
     // is CL for reads and CWL for writes. Rank handovers add a tRTR
-    // bubble; write data behind read data on the same rank needs the
-    // 2-cycle turnaround bubble.
+    // bubble, named only when the bursts do not overlap outright; write
+    // data behind read data on the same rank needs the 2-cycle
+    // turnaround bubble.
     const auto off = [&t](CmdKind k) -> long long {
         return k == CmdKind::Wr ? t.cwl : t.cl;
     };
@@ -168,8 +199,10 @@ specRuleTable(const TimingParams &t)
             if (prev == CmdKind::Rd && next == CmdKind::Wr)
                 add(prev, next, SpecScope::Channel, SpecRankRel::Same,
                     gap + 2, "rd-wr-turnaround");
+            add(prev, next, SpecScope::Channel, SpecRankRel::Diff, gap,
+                "bus-overlap");
             add(prev, next, SpecScope::Channel, SpecRankRel::Diff,
-                gap + t.tRTR, "tRTR(bus)");
+                gap + t.tRTR, "tRTR(bus)", t.tRTR);
         }
     }
     return rules;
@@ -182,7 +215,10 @@ describeRuleTable(const TimingParams &t)
     for (const SpecRule &r : specRuleTable(t)) {
         oss << specKindName(r.prev) << "->" << specKindName(r.next)
             << " " << scopeName(r.scope) << " " << relName(r.rankRel)
-            << " gap=" << r.gap << " " << r.name << "\n";
+            << " gap=" << r.gap << " " << r.name;
+        if (r.bubble)
+            oss << " bubble=" << r.bubble;
+        oss << "\n";
     }
     oss << "# tFAW: 5th ACT >= oldest-of-last-4-ACTs + " << t.tFAW
         << " (rank window)\n";
@@ -200,8 +236,10 @@ describeRuleTable(const TimingParams &t)
 SpecModel::SpecModel(const Geometry &geom, const TimingParams &timing)
     : geom_(geom), timing_(timing), rules_(specRuleTable(timing))
 {
-    for (const SpecRule &r : rules_)
-        horizon_ = std::max<Cycle>(horizon_, r.gap);
+    for (std::size_t i = 0; i < rules_.size(); ++i) {
+        horizon_ = std::max<Cycle>(horizon_, rules_[i].gap);
+        byNext_[kindIx(rules_[i].next)].push_back(i);
+    }
     horizon_ = std::max<Cycle>(horizon_, timing_.tFAW) + 1;
     banks_.resize(static_cast<std::size_t>(geom_.channels) *
                   geom_.ranks * geom_.banksPerRank());
@@ -237,32 +275,79 @@ SpecModel::bankKind(CmdKind kind)
            kind == CmdKind::Rd || kind == CmdKind::Wr;
 }
 
-bool
-SpecModel::stateLegal(const Cand &c) const
+const char *
+SpecModel::stateRule(const Cand &c, std::string *detail) const
 {
+    // Details are built only when asked for.
+    const auto say = [detail](auto text) {
+        if (detail)
+            *detail = text();
+    };
     switch (c.kind) {
-      case CmdKind::Act:
-        return !banks_[bankId(c.addr)].open;
+      case CmdKind::Act: {
+        const BankS &bank = banks_[bankId(c.addr)];
+        if (!bank.open)
+            return nullptr;
+        say([&] {
+            return "ACT to an already-open bank (row " +
+                   std::to_string(bank.row) + " not precharged)";
+        });
+        return "bank-state";
+      }
       case CmdKind::Pre:
-        return banks_[bankId(c.addr)].open;
+        if (banks_[bankId(c.addr)].open)
+            return nullptr;
+        say([] { return std::string("PRE to a closed bank"); });
+        return "bank-state";
       case CmdKind::Rd:
       case CmdKind::Wr: {
         const BankS &bank = banks_[bankId(c.addr)];
-        return bank.open && bank.row == c.addr.row &&
-               c.mode == ranks_[rankId(c.addr.channel, c.addr.rank)].mode;
+        if (!bank.open) {
+            say([&] { return cmdKindName(c.kind) + " to a closed bank"; });
+            return "bank-state";
+        }
+        if (bank.row != c.addr.row) {
+            say([&] {
+                return "CAS to row " + std::to_string(c.addr.row) +
+                       " while row " + std::to_string(bank.row) +
+                       " is open";
+            });
+            return "bank-state";
+        }
+        const AccessMode mode =
+            ranks_[rankId(c.addr.channel, c.addr.rank)].mode;
+        if (c.mode == mode)
+            return nullptr;
+        say([&] {
+            return std::string("CAS in ") + modeName(c.mode) +
+                   " mode while the rank is in " + modeName(mode) +
+                   " mode";
+        });
+        return "mode-state";
       }
       case CmdKind::ModeSwitch:
-        return true;
+        return nullptr;
       case CmdKind::Ref: {
-        if (timing_.tREFI == 0)
-            return false;
+        if (timing_.tREFI == 0) {
+            say([] {
+                return std::string(
+                    "REF issued to a technology without refresh");
+            });
+            return "tREFI";
+        }
         const std::size_t base =
             rankId(c.addr.channel, c.addr.rank) * geom_.banksPerRank();
         for (unsigned b = 0; b < geom_.banksPerRank(); ++b) {
-            if (banks_[base + b].open)
-                return false;
+            if (!banks_[base + b].open)
+                continue;
+            say([&] {
+                return "REF with bank " + std::to_string(b) +
+                       " open (row " +
+                       std::to_string(banks_[base + b].row) + ")";
+            });
+            return "bank-state";
         }
-        return true;
+        return nullptr;
       }
     }
     panic("unknown CmdKind");
@@ -272,10 +357,8 @@ template <typename Fn>
 void
 SpecModel::forEachBound(const Cand &c, Fn fn) const
 {
-    for (std::size_t i = 0; i < rules_.size(); ++i) {
+    for (std::size_t i : byNext_[kindIx(c.kind)]) {
         const SpecRule &r = rules_[i];
-        if (r.next != c.kind)
-            continue;
         const auto visit = [&](const KindTimes &t) {
             const unsigned p = kindIx(r.prev);
             if (t.has[p])
@@ -322,19 +405,46 @@ SpecModel::earliestLegal(const Cand &c, Cycle from) const
     return e;
 }
 
-std::vector<std::string>
-SpecModel::bindingRules(const Cand &c, Cycle at) const
+void
+SpecModel::breaches(const Cand &c, Cycle at,
+                    std::vector<SpecBreach> &out) const
 {
-    std::vector<std::string> names;
-    forEachBound(c, [&](std::size_t rule, Cycle bound) {
-        if (bound != at)
+    out.clear();
+    std::string detail;
+    if (const char *rule = stateRule(c, &detail))
+        out.push_back({rule, std::move(detail)});
+    const std::size_t timed = out.size();
+    forEachBound(c, [&](std::size_t i, Cycle bound) {
+        if (bound <= at)
             return;
-        const std::string &name =
-            rule < rules_.size() ? rules_[rule].name : "tFAW";
-        if (std::find(names.begin(), names.end(), name) == names.end())
-            names.push_back(name);
+        const bool faw = i == rules_.size();
+        if (!faw && rules_[i].bubble && at + rules_[i].bubble < bound)
+            return; // The tighter rule on the same pair names it.
+        const std::string &name = faw ? kFawName : rules_[i].name;
+        for (std::size_t k = timed; k < out.size(); ++k) {
+            if (out[k].rule == name)
+                return;
+        }
+        const unsigned gap = faw ? timing_.tFAW : rules_[i].gap;
+        const Cycle since = bound - gap;
+        out.push_back(
+            {name, "only " + std::to_string(at - since) + " cycles after " +
+                       cmdKindName(faw ? CmdKind::Act : rules_[i].prev) +
+                       " @" + std::to_string(since) + ", need " +
+                       std::to_string(gap)});
     });
-    return names;
+    if (c.kind == CmdKind::Ref && timing_.tREFI > 0) {
+        const Cycle deadline = refDeadline(c.addr.channel, c.addr.rank);
+        if (at > deadline) {
+            out.push_back(
+                {"tREFI",
+                 "refresh #" +
+                     std::to_string(
+                         ranks_[rankId(c.addr.channel, c.addr.rank)]
+                             .refCount) +
+                     " postponed past " + std::to_string(deadline)});
+        }
+    }
 }
 
 bool
@@ -440,20 +550,26 @@ std::string
 VerifyStats::summary() const
 {
     std::ostringstream oss;
-    oss << "explored " << nodesExplored << " state(s) ("
-        << statesDeduped << " merged), " << checkerRuns
-        << " checker replays; probes: " << earliestProbes
-        << " earliest-clean, " << boundaryProbes << " boundary-flagged, "
-        << stateProbes << " state-illegal, " << monotoneProbes
-        << " monotone; " << (exhausted ? "exhausted" : "CAPPED") << ", "
-        << failures.size() << " failure(s)";
+    oss << "explored " << nodesExplored << " access sequence(s) ("
+        << commandsChecked << " commands checked), " << specStates
+        << " spec state(s) (" << statesDeduped << " merged), "
+        << checkerRuns << " checker replays; probes: " << earliestProbes
+        << " earliest-clean, " << monotoneProbes << " monotone; "
+        << (exhausted ? "exhausted" : "CAPPED") << ", " << failures.size()
+        << " failure(s)";
     return oss.str();
 }
 
 namespace {
 
+SpecModel::Cand
+candOf(const Command &cmd)
+{
+    return {cmd.kind, cmd.addr, cmd.mode};
+}
+
 Command
-candCommand(const SpecModel::Cand &c, Cycle at)
+commandOf(const SpecModel::Cand &c, Cycle at)
 {
     Command cmd;
     cmd.kind = c.kind;
@@ -463,34 +579,18 @@ candCommand(const SpecModel::Cand &c, Cycle at)
     return cmd;
 }
 
-/** One BFS node: the command appended to its parent's sequence. */
-struct SeqNode
-{
-    std::shared_ptr<const SeqNode> parent;
-    SpecModel::Cand cand;
-    Cycle at = 0;
-    unsigned depth = 0;
-};
-
 std::string
 describeStream(const std::vector<Command> &cmds)
 {
-    if (cmds.empty())
-        return "<empty>";
     std::string out;
-    for (const Command &c : cmds) {
-        if (!out.empty())
-            out += "; ";
-        out += c.str();
-    }
-    return out;
+    for (const Command &c : cmds)
+        out += (out.empty() ? "" : "; ") + c.str();
+    return out.empty() ? "<empty>" : out;
 }
 
 std::string
 describeViolations(const std::vector<Violation> &vs)
 {
-    if (vs.empty())
-        return "clean";
     std::string out;
     const std::size_t shown = std::min<std::size_t>(vs.size(), 2);
     for (std::size_t i = 0; i < shown; ++i) {
@@ -503,42 +603,53 @@ describeViolations(const std::vector<Violation> &vs)
     return out;
 }
 
-bool
-sameCommand(const Command &a, const Command &b)
-{
-    return a.kind == b.kind && a.at == b.at &&
-           a.addr.channel == b.addr.channel &&
-           a.addr.rank == b.addr.rank &&
-           a.addr.bankGroup == b.addr.bankGroup &&
-           a.addr.bank == b.addr.bank && a.addr.row == b.addr.row;
-}
-
 /**
- * True when some violation blames `probe` with a constraint from
- * `names` (any constraint when `names` is null). With `names`, a
- * violation on a *different* command at the probe's cycle also counts:
- * the prefix is checker-clean by construction, so any flag is caused
- * by the probe, and a REF tie can blame the swallowed command rather
- * than the REF itself.
+ * The access alphabet: every channel/rank/group/bank/row, RD or WR,
+ * regular or stride mode, with 0 or 1 extra bursts.
  */
-bool
-mentionsProbe(const std::vector<Violation> &vs, const Command &probe,
-              const std::vector<std::string> *names)
+std::vector<DeviceAccess>
+accessAlphabet(const Geometry &g, unsigned rows)
 {
-    for (const Violation &v : vs) {
-        if (!names) {
-            if (sameCommand(v.cmd, probe))
-                return true;
-            continue;
-        }
-        if (v.cmd.at == probe.at &&
-            std::find(names->begin(), names->end(), v.constraint) !=
-                names->end())
-            return true;
+    std::vector<DeviceAccess> out;
+    const unsigned n =
+        g.channels * g.ranks * g.banksPerRank() * rows * 2 * 2 * 2;
+    for (unsigned i = 0; i < n; ++i) {
+        DeviceAccess a;
+        a.extraBursts = i % 2;
+        a.mode = (i / 2) % 2 ? AccessMode::Stride : AccessMode::Regular;
+        a.isWrite = (i / 4) % 2;
+        unsigned rest = i / 8;
+        a.addr.row = rest % rows;
+        rest /= rows;
+        a.addr.bank = rest % g.banksPerGroup;
+        rest /= g.banksPerGroup;
+        a.addr.bankGroup = rest % g.bankGroups;
+        rest /= g.bankGroups;
+        a.addr.rank = rest % g.ranks;
+        a.addr.channel = rest / g.ranks;
+        out.push_back(a);
     }
-    return false;
+    return out;
 }
 
+std::string
+describeAccess(const DeviceAccess &a, Cycle at)
+{
+    const MappedAddr &addr = a.addr;
+    std::string out = std::string(a.isWrite ? "WR" : "RD") + " ch" +
+                      std::to_string(addr.channel) + " rk" +
+                      std::to_string(addr.rank) + " bg" +
+                      std::to_string(addr.bankGroup) + " bk" +
+                      std::to_string(addr.bank) + " row" +
+                      std::to_string(addr.row);
+    if (a.mode == AccessMode::Stride)
+        out += " stride";
+    if (a.extraBursts)
+        out += " +" + std::to_string(a.extraBursts);
+    return out + " @" + std::to_string(at);
+}
+
+/** Every command kind on every bank and rank, in its legal mode. */
 std::vector<SpecModel::Cand>
 enumerateCands(const SpecModel &model, unsigned probe_rows)
 {
@@ -547,41 +658,32 @@ enumerateCands(const SpecModel &model, unsigned probe_rows)
     for (unsigned ch = 0; ch < g.channels; ++ch) {
         for (unsigned rk = 0; rk < g.ranks; ++rk) {
             const AccessMode mode = model.rankMode(ch, rk);
-            const AccessMode other = mode == AccessMode::Regular
-                                         ? AccessMode::Stride
-                                         : AccessMode::Regular;
+            SpecModel::Cand c;
+            c.addr.channel = ch;
+            c.addr.rank = rk;
             for (unsigned bg = 0; bg < g.bankGroups; ++bg) {
                 for (unsigned bk = 0; bk < g.banksPerGroup; ++bk) {
-                    SpecModel::Cand c;
-                    c.addr.channel = ch;
-                    c.addr.rank = rk;
                     c.addr.bankGroup = bg;
                     c.addr.bank = bk;
+                    c.mode = mode;
                     for (unsigned row = 0; row < probe_rows; ++row) {
                         c.addr.row = row;
-                        c.kind = CmdKind::Act;
-                        out.push_back(c);
-                        c.kind = CmdKind::Rd;
-                        c.mode = mode;
-                        out.push_back(c);
-                        c.kind = CmdKind::Wr;
-                        out.push_back(c);
+                        for (CmdKind k :
+                             {CmdKind::Act, CmdKind::Rd, CmdKind::Wr}) {
+                            c.kind = k;
+                            out.push_back(c);
+                        }
                     }
                     c.addr.row = 0;
                     c.kind = CmdKind::Pre;
                     c.mode = AccessMode::Regular;
                     out.push_back(c);
-                    // Wrong-mode CAS: state-illegal probe.
-                    c.kind = CmdKind::Rd;
-                    c.mode = other;
-                    out.push_back(c);
                 }
             }
-            SpecModel::Cand c;
-            c.addr.channel = ch;
-            c.addr.rank = rk;
+            c.addr.bankGroup = c.addr.bank = 0;
             c.kind = CmdKind::ModeSwitch;
-            c.mode = other;
+            c.mode = mode == AccessMode::Regular ? AccessMode::Stride
+                                                 : AccessMode::Regular;
             out.push_back(c);
             c.kind = CmdKind::Ref;
             c.mode = AccessMode::Regular;
@@ -591,27 +693,25 @@ enumerateCands(const SpecModel &model, unsigned probe_rows)
     return out;
 }
 
+/** Next sequence of the same length (odometer order); false at wrap. */
+bool
+advance(std::vector<std::size_t> &seq, std::size_t symbols)
+{
+    for (std::size_t &digit : seq) {
+        if (++digit < symbols)
+            return true;
+        digit = 0;
+    }
+    return false;
+}
+
 } // namespace
 
 VerifyStats
-verifySpecAgainstChecker(const Geometry &geom,
-                         const TimingParams &timing,
-                         const VerifyOptions &opt)
+verifyDeviceAgainstSpec(const Geometry &geom, const TimingParams &engine,
+                        const TimingParams &timing, const VerifyOptions &opt)
 {
-    // The pairwise bus rules are equivalent to the checker's
-    // adjacent-burst walk only when a handover bubble fits within one
-    // burst, and the equal-time tie-break analysis needs every
-    // state-coupled rule to carry a positive gap. Both hold for the
-    // DDR4 and RRAM presets and any derating of them.
-    sam_assert(timing.tRTR <= timing.tBL,
-               "spec/checker equivalence needs tRTR <= tBL");
-    sam_assert(timing.tRP >= 1 && timing.tRAS >= 1 &&
-                   timing.tRCD >= 1 && timing.tRTP >= 1,
-               "spec/checker equivalence needs positive state gaps");
-
     VerifyStats stats;
-    const std::vector<std::string> state_names = {"bank-state",
-                                                  "mode-state", "tREFI"};
     const auto fail = [&](std::string msg) {
         if (stats.failures.size() < opt.maxFailures)
             stats.failures.push_back(std::move(msg));
@@ -624,149 +724,119 @@ verifySpecAgainstChecker(const Geometry &geom,
         return pc.violations();
     };
 
-    std::unordered_set<std::string> visited;
-    visited.insert(SpecModel(geom, timing).canonical());
-    std::deque<std::shared_ptr<const SeqNode>> frontier;
-    frontier.push_back(nullptr); // The empty sequence.
-    bool capped = false;
+    // Arrivals are non-decreasing, as the controller's clock: back to
+    // back, one row cycle apart, or one refresh interval apart.
+    std::vector<Cycle> gaps = {0, timing.tRC()};
+    if (timing.tREFI > 0)
+        gaps.push_back(timing.tREFI);
+    const std::vector<DeviceAccess> alphabet =
+        accessAlphabet(geom, opt.probeRows);
+    sam_assert(!alphabet.empty(), "empty access alphabet");
+    const std::size_t symbols = alphabet.size() * gaps.size();
 
-    while (!frontier.empty() &&
-           stats.failures.size() < opt.maxFailures) {
-        if (stats.nodesExplored >= opt.maxNodes) {
-            capped = true;
-            break;
-        }
-        const std::shared_ptr<const SeqNode> node = frontier.front();
-        frontier.pop_front();
-        ++stats.nodesExplored;
-
-        // Rebuild the node's model and command prefix from the chain.
-        std::vector<const SeqNode *> chain;
-        for (const SeqNode *n = node.get(); n; n = n->parent.get())
-            chain.push_back(n);
-        std::reverse(chain.begin(), chain.end());
-        SpecModel model(geom, timing);
-        std::vector<Command> cmds;
-        cmds.reserve(chain.size() + 1);
-        for (const SeqNode *n : chain) {
-            model.apply(n->cand, n->at);
-            cmds.push_back(candCommand(n->cand, n->at));
-        }
-        const unsigned depth = node ? node->depth : 0;
+    // Probes the spec itself at the state a clean stream reaches.
+    const auto probeState = [&](std::vector<Command> &cmds,
+                                const SpecModel &model) {
         const Cycle floor = model.lastIssue();
         std::size_t issuable = 0;
-
         for (const SpecModel::Cand &c :
              enumerateCands(model, opt.probeRows)) {
-            if (stats.failures.size() >= opt.maxFailures)
-                break;
-            cmds.push_back(Command{});
-            Command &probe = cmds.back();
-
-            if (!model.stateLegal(c)) {
-                // Spec says never: the checker must flag it at any
-                // issue time with a state-rule constraint.
-                probe = candCommand(c, floor + 1);
-                ++stats.stateProbes;
-                const auto &vs = check(cmds);
-                if (!mentionsProbe(vs, probe, &state_names)) {
-                    fail("state disagreement after [" +
-                         describeStream(
-                             {cmds.begin(), cmds.end() - 1}) +
-                         "]: spec rejects " + probe.str() +
-                         " but checker says " + describeViolations(vs));
-                }
-                cmds.pop_back();
+            if (!model.stateLegal(c))
                 continue;
-            }
-
-            const Cycle earliest = model.earliestLegal(c, floor);
             ++issuable;
+            const Cycle earliest = model.earliestLegal(c, floor);
+            const bool ref = c.kind == CmdKind::Ref;
             const Cycle deadline =
-                c.kind == CmdKind::Ref
-                    ? model.refDeadline(c.addr.channel, c.addr.rank)
-                    : 0;
-            if (c.kind == CmdKind::Ref && earliest > deadline) {
+                ref ? model.refDeadline(c.addr.channel, c.addr.rank) : 0;
+            if (ref && earliest > deadline) {
                 fail("REF earliest " + std::to_string(earliest) +
                      " past deadline " + std::to_string(deadline) +
-                     " after [" +
-                     describeStream({cmds.begin(), cmds.end() - 1}) +
-                     "]");
-                cmds.pop_back();
+                     " after [" + describeStream(cmds) + "]");
                 continue;
             }
-
-            // Issuing at the spec earliest must be checker-clean.
-            probe = candCommand(c, earliest);
-            ++stats.earliestProbes;
-            {
-                const auto &vs = check(cmds);
+            // Clean at the earliest cycle and, legality being
+            // upward-closed, at later ones up to the REF deadline.
+            std::vector<Cycle> probes = {earliest};
+            if (opt.monotone)
+                probes.insert(probes.end(),
+                              {earliest + 1, earliest + model.horizon()});
+            for (Cycle at : probes) {
+                if (ref && at > deadline)
+                    continue;
+                ++(at == earliest ? stats.earliestProbes
+                                  : stats.monotoneProbes);
+                cmds.push_back(commandOf(c, at));
+                const std::vector<Violation> vs = check(cmds);
                 if (!vs.empty()) {
-                    fail("spec looser than checker: [" +
-                         describeStream(cmds) + "] flagged: " +
-                         describeViolations(vs));
+                    fail(std::string(at == earliest
+                                         ? "spec earliest not clean"
+                                         : "not monotone") +
+                         ": [" + describeStream(cmds) +
+                         "] flagged: " + describeViolations(vs));
                 }
-            }
-
-            // One cycle earlier, when a rule binds, must be flagged
-            // with one of the binding rule names.
-            if (earliest > floor) {
-                const std::vector<std::string> names =
-                    model.bindingRules(c, earliest);
-                probe = candCommand(c, earliest - 1);
-                ++stats.boundaryProbes;
-                const auto &vs = check(cmds);
-                if (!mentionsProbe(vs, probe, &names)) {
-                    std::string expect;
-                    for (const std::string &n : names)
-                        expect += (expect.empty() ? "" : "/") + n;
-                    fail("spec tighter than checker: [" +
-                         describeStream(cmds) + "] expected " + expect +
-                         ", checker says " + describeViolations(vs));
-                }
-            }
-
-            // Legality must be upward-closed in time (except the REF
-            // deadline): the property the skip-ahead scheduler needs.
-            if (opt.monotone) {
-                const Cycle deltas[2] = {1, model.horizon()};
-                for (Cycle delta : deltas) {
-                    const Cycle at = earliest + delta;
-                    if (c.kind == CmdKind::Ref && at > deadline)
-                        continue;
-                    probe = candCommand(c, at);
-                    ++stats.monotoneProbes;
-                    const auto &vs = check(cmds);
-                    if (!vs.empty()) {
-                        fail("not monotone: [" + describeStream(cmds) +
-                             "] flagged: " + describeViolations(vs));
-                    }
-                }
-            }
-            cmds.pop_back();
-
-            if (depth < opt.depth) {
-                SpecModel child = model;
-                child.apply(c, earliest);
-                if (visited.insert(child.canonical()).second) {
-                    auto next = std::make_shared<SeqNode>();
-                    next->parent = node;
-                    next->cand = c;
-                    next->at = earliest;
-                    next->depth = depth + 1;
-                    frontier.push_back(std::move(next));
-                } else {
-                    ++stats.statesDeduped;
-                }
+                cmds.pop_back();
             }
         }
         if (issuable == 0) {
             fail("deadlock: no issuable candidate after [" +
                  describeStream(cmds) + "]");
         }
+    };
+
+    std::unordered_set<std::string> seen;
+    bool capped = false;
+    std::vector<std::size_t> seq;
+    for (unsigned len = 1; len <= opt.depth && !capped; ++len) {
+        seq.assign(len, 0);
+        do {
+            if (stats.failures.size() >= opt.maxFailures)
+                break;
+            if (stats.nodesExplored >= opt.maxNodes) {
+                capped = true;
+                break;
+            }
+            ++stats.nodesExplored;
+
+            Device dev(geom, engine);
+            std::vector<Command> cmds;
+            dev.addCommandObserver(
+                &cmds, [&cmds](const Command &c) { cmds.push_back(c); });
+            Cycle t = 0;
+            for (std::size_t s : seq) {
+                t += gaps[s % gaps.size()];
+                dev.access(alphabet[s / gaps.size()], t);
+            }
+            dev.removeCommandObserver(&cmds);
+            stats.commandsChecked += cmds.size();
+
+            const std::vector<Violation> vs = check(cmds);
+            if (!vs.empty()) {
+                std::string trail;
+                t = 0;
+                for (std::size_t s : seq) {
+                    t += gaps[s % gaps.size()];
+                    trail += (trail.empty() ? "" : "; ") +
+                             describeAccess(alphabet[s / gaps.size()], t);
+                }
+                fail("engine broke the spec on [" + trail +
+                     "]: " + describeViolations(vs));
+                continue;
+            }
+
+            std::stable_sort(cmds.begin(), cmds.end(), specOrder);
+            SpecModel model(geom, timing);
+            for (const Command &c : cmds)
+                model.apply(candOf(c), c.at);
+            if (!seen.insert(model.canonical()).second) {
+                ++stats.statesDeduped;
+                continue;
+            }
+            ++stats.specStates;
+            probeState(cmds, model);
+        } while (advance(seq, symbols));
     }
-    stats.exhausted = !capped && frontier.empty() &&
-                      stats.failures.size() < opt.maxFailures;
+    stats.exhausted =
+        !capped && stats.failures.size() < opt.maxFailures;
     return stats;
 }
 

@@ -1,37 +1,30 @@
 /**
  * @file
- * Declarative timing specification and offline model checker.
+ * The declarative DDR4/RRAM timing specification.
  *
- * The ProtocolChecker (protocol_checker.cc) re-derives command legality
- * imperatively, one `if` per constraint. This module lifts the same
- * rules into data: a table of pairwise issue-gap rules
- * (prev-kind -> next-kind at bank / bank-group / rank / channel scope),
- * plus the small set of constraints that are not pairwise (the tFAW
+ * Every protocol rule lives here as data: a table of pairwise issue-gap
+ * rules (prev-kind -> next-kind at bank / bank-group / rank / channel
+ * scope), plus the few constraints that are not pairwise (the tFAW
  * four-activate window, bank/mode/refresh state legality, the tREFI
- * postponement deadline). SpecModel evaluates that table forward: given
- * a command history it answers "what is the earliest cycle this
- * candidate may issue?".
+ * postponement deadline). SpecModel evaluates the table forward over a
+ * stream in specOrder(): it answers "what is the earliest cycle this
+ * candidate may issue?" and "which rules does issuing it at this cycle
+ * break?". The ProtocolChecker is a thin driver over the latter.
  *
- * verifySpecAgainstChecker() then explores the joint command FSM by
- * bounded BFS, and at every reachable state cross-examines the two
- * implementations:
+ * verifyDeviceAgainstSpec() then checks the imperative timing engine
+ * (src/dram/device) against the table by bounded exhaustive search over
+ * short Device::access sequences: every emitted stream must be clean.
+ * At each new spec state the search also probes the table itself:
  *
- *  - issuing a candidate at its spec-earliest cycle must be clean under
- *    the ProtocolChecker (spec is not looser than the checker);
- *  - issuing it one cycle earlier, when the bound is binding, must be
- *    flagged with one of the binding rule names (spec is not tighter);
- *  - state-illegal candidates must be flagged (bank/mode/refresh state
- *    agreement);
- *  - issuing later than the earliest must stay clean (legality is
- *    upward-closed in time -- the monotonicity property the skip-ahead
- *    scheduler relies on), except past the tREFI deadline;
- *  - every reachable state must have at least one issuable candidate
- *    with a finite earliest cycle (no deadlock).
+ *  - issuing a candidate at its earliest legal cycle, and any later
+ *    cycle up to the REF deadline, replays clean through the checker
+ *    (legality is upward-closed in time, including same-cycle ties);
+ *  - a REF's earliest cycle never lies past its tREFI deadline;
+ *  - every state has at least one issuable candidate (no deadlock).
  *
  * States are deduplicated by a canonical encoding with cycle deltas
  * rebased to the last issue and saturated at the spec horizon (the
- * largest gap any rule can look back), so the BFS terminates on the
- * quotient FSM rather than on raw unbounded cycle counts.
+ * largest gap any rule can look back).
  */
 
 #ifndef SAM_CHECK_SPEC_MODEL_HH
@@ -60,8 +53,7 @@ enum class SpecRankRel { Any, Same, Diff };
  * least `gap` cycles after the latest `prev`-kind command in scope.
  * Gaps are in issue-to-issue cycles; rules derived from data-relative
  * constraints (tWR, tWTR, bus occupancy) fold the CAS-to-data offsets
- * into the gap. `name` matches the constraint name the ProtocolChecker
- * uses when flagging a violation of the same rule.
+ * into the gap. `name` is the constraint a violation is reported under.
  */
 struct SpecRule
 {
@@ -70,7 +62,30 @@ struct SpecRule
     SpecScope scope = SpecScope::Bank;
     SpecRankRel rankRel = SpecRankRel::Any;
     unsigned gap = 0;
+    /**
+     * When nonzero, a breach is named by this rule only within the last
+     * `bubble` cycles before its bound; an earlier issue breaks a
+     * tighter rule on the same pair (tRTR(bus) over bus-overlap).
+     */
+    unsigned bubble = 0;
     std::string name;
+};
+
+/**
+ * Same-cycle order the spec reads a stream in: by issue cycle, then
+ * PRE, ACT, REF, CAS, mode switch (state changes that enable others
+ * first, as a controller serializes them on the command bus). A mode
+ * switch sorts after an equal-time CAS: the engine commits switches
+ * strictly after the rank's last CAS, so a tie only appears in
+ * adversarial streams, where the switch is the offender.
+ */
+bool specOrder(const Command &a, const Command &b);
+
+/** One rule a command breaks, with what went wrong. */
+struct SpecBreach
+{
+    std::string rule;
+    std::string detail;
 };
 
 /**
@@ -91,8 +106,8 @@ std::string describeRuleTable(const TimingParams &timing);
 /**
  * Forward evaluator for the rule table: tracks per-bank / per-group /
  * per-rank last-issue times, the tFAW window, bank open state, rank
- * I/O mode and refresh count, and answers earliest-legal queries.
- * Copyable value type.
+ * I/O mode and refresh count, and answers earliest-legal and
+ * rule-breach queries. Copyable value type.
  */
 class SpecModel
 {
@@ -111,20 +126,22 @@ class SpecModel
      * Bank/row/mode/refresh state legality -- independent of the issue
      * time chosen.
      */
-    bool stateLegal(const Cand &c) const;
+    bool stateLegal(const Cand &c) const { return stateRule(c) == nullptr; }
+
+    /**
+     * Every rule `c` breaks when issued at `at` (>= lastIssue()), in
+     * `out` (cleared first): the violated state rule, if any, then each
+     * distinct table rule or tFAW bound past `at`, then the tREFI
+     * deadline of a REF.
+     */
+    void breaches(const Cand &c, Cycle at,
+                  std::vector<SpecBreach> &out) const;
 
     /**
      * Earliest cycle >= `from` at which `c` may issue. `c` must be
      * state-legal. Pass lastIssue() as `from` to respect stream order.
      */
     Cycle earliestLegal(const Cand &c, Cycle from) const;
-
-    /**
-     * Names of the rules whose bound equals `at` (the constraints that
-     * make issuing at `at - 1` illegal). Empty when no rule binds at
-     * `at`, i.e. the earliest-legal bound came from `from` alone.
-     */
-    std::vector<std::string> bindingRules(const Cand &c, Cycle at) const;
 
     /** True when `c` is state-legal and `at` >= its earliest cycle. */
     bool legalAt(const Cand &c, Cycle at) const;
@@ -188,21 +205,30 @@ class SpecModel
         std::uint64_t refCount = 0;
     };
 
+    /**
+     * Name of the state rule `c` violates ("bank-state", "mode-state",
+     * or "tREFI" for REF without refresh), or null; with `detail`, also
+     * say why.
+     */
+    const char *stateRule(const Cand &c,
+                          std::string *detail = nullptr) const;
     std::size_t rankId(unsigned ch, unsigned rk) const;
     std::size_t groupId(const MappedAddr &a) const;
     std::size_t bankId(const MappedAddr &a) const;
     /** Kinds addressed to a specific bank (Act/Pre/Rd/Wr). */
     static bool bankKind(CmdKind kind);
     /**
-     * Rule evaluation core shared by earliestLegal / bindingRules:
-     * calls `fn(ruleIndex, boundCycle)` for every applicable rule
-     * instance plus the tFAW window (ruleIndex == rules_.size()).
+     * Rule evaluation core shared by earliestLegal / breaches: calls
+     * `fn(ruleIndex, boundCycle)` for every applicable rule instance
+     * plus the tFAW window (ruleIndex == rules_.size()).
      */
     template <typename Fn> void forEachBound(const Cand &c, Fn fn) const;
 
     Geometry geom_;
     TimingParams timing_;
     std::vector<SpecRule> rules_;
+    /** Indices into rules_ by the rule's `next` kind. */
+    std::array<std::vector<std::size_t>, kKinds> byNext_;
     Cycle horizon_ = 0;
     Cycle lastIssue_ = 0;
     std::vector<BankS> banks_;
@@ -210,11 +236,11 @@ class SpecModel
     std::vector<RankS> ranks_;
 };
 
-/** Knobs for the bounded BFS exploration. */
+/** Knobs for the bounded exhaustive search. */
 struct VerifyOptions
 {
-    unsigned depth = 3;           ///< Commands per explored sequence.
-    std::size_t maxNodes = 4000;  ///< Stop expanding past this many.
+    unsigned depth = 3;           ///< Accesses per explored sequence.
+    std::size_t maxNodes = 4000;  ///< Explored sequences cap.
     unsigned probeRows = 2;       ///< Row alphabet per bank.
     bool monotone = true;         ///< Probe upward-closure.
     std::size_t maxFailures = 20; ///< Stop collecting past this many.
@@ -223,14 +249,14 @@ struct VerifyOptions
 /** Outcome of one verification run. */
 struct VerifyStats
 {
-    std::size_t nodesExplored = 0;
-    std::size_t statesDeduped = 0;    ///< Successors merged by canon.
-    std::size_t checkerRuns = 0;      ///< ProtocolChecker replays.
-    std::size_t earliestProbes = 0;   ///< Clean-at-earliest checks.
-    std::size_t boundaryProbes = 0;   ///< Flagged-at-earliest-1 checks.
-    std::size_t stateProbes = 0;      ///< State-illegal checks.
-    std::size_t monotoneProbes = 0;   ///< Upward-closure checks.
-    bool exhausted = false; ///< Frontier drained before maxNodes hit.
+    std::size_t nodesExplored = 0;   ///< Access sequences run.
+    std::size_t commandsChecked = 0; ///< Device commands checked.
+    std::size_t specStates = 0;      ///< Distinct spec states probed.
+    std::size_t statesDeduped = 0;   ///< Streams ending in a seen state.
+    std::size_t checkerRuns = 0;     ///< ProtocolChecker replays.
+    std::size_t earliestProbes = 0;  ///< Clean-at-earliest checks.
+    std::size_t monotoneProbes = 0;  ///< Upward-closure checks.
+    bool exhausted = false; ///< Every sequence run before maxNodes hit.
     std::vector<std::string> failures;
 
     bool ok() const { return failures.empty(); }
@@ -238,13 +264,17 @@ struct VerifyStats
 };
 
 /**
- * Explore every command sequence of the given depth (up to state
- * equivalence) and cross-check SpecModel against ProtocolChecker at
- * each step. See the file comment for the probes performed.
+ * Run every sequence of up to `opt.depth` accesses from a fixed
+ * alphabet (RD/WR x mode x row x rank x bank x 0-1 extra bursts, at
+ * non-decreasing arrival times that include a gap crossing tREFI) on a
+ * Device with `engine` timing, and check each emitted stream against
+ * the spec built from `timing` (the same preset, except when a test
+ * injects an engine bug). See the file comment for the spec probes.
  */
-VerifyStats verifySpecAgainstChecker(const Geometry &geom,
-                                     const TimingParams &timing,
-                                     const VerifyOptions &opt);
+VerifyStats verifyDeviceAgainstSpec(const Geometry &geom,
+                                    const TimingParams &engine,
+                                    const TimingParams &timing,
+                                    const VerifyOptions &opt);
 
 } // namespace sam
 

@@ -2,12 +2,14 @@
  * @file
  * Tests for the protocol-checker oracle (src/check): hand-built illegal
  * command streams must each be rejected with the correct constraint
- * named, and legal streams -- hand-built, random Device traffic, and
- * full-system replays on every design -- must validate clean.
+ * named, legal streams -- hand-built, random Device traffic, and
+ * full-system replays on every design -- must validate clean, and the
+ * report on a failing engine stream is pinned as text.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
 
@@ -253,6 +255,46 @@ TEST_F(CheckerTest, RefreshOnRramIsIllegal)
     ProtocolChecker checker(geom, rramTiming());
     checker.observe(rankCmd(CmdKind::Ref, 0, 0));
     expectSingle(checker, "tREFI");
+}
+
+TEST_F(CheckerTest, EngineStreamReportIsPinned)
+{
+    // Baseline Q11 with a 65536-record Tb postpones a refresh past the
+    // tREFI deadline on both ranks. The report text feeds the campaign
+    // digest, so it is pinned whatever order the stream arrives in.
+    SimConfig cfg;
+    cfg.taRecords = 1024;
+    cfg.tbRecords = 65536;
+    cfg.check = false;
+    cfg.collectStatsText = false;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.commandTrace = true;
+    System sys(cfg);
+    Query q11;
+    for (const Query &q : benchmarkQQueries()) {
+        if (q.name == "Q11")
+            q11 = q;
+    }
+    const RunStats rs = sys.runQuery(q11);
+    ASSERT_EQ(rs.telemetry->droppedCommands, 0u);
+    std::vector<Command> stream = rs.telemetry->commands;
+
+    const std::string expected =
+        "ProtocolChecker: 2 violation(s) over 123122 commands\n"
+        "  [121307] tREFI: REF ch0 rk1 @730933: refresh #63 postponed "
+        "past 673920\n"
+        "  [121322] tREFI: REF ch0 rk0 @731073: refresh #63 postponed "
+        "past 673920";
+    ProtocolChecker emitted(geom, sys.timing());
+    for (const Command &c : stream)
+        emitted.observe(c);
+    EXPECT_EQ(emitted.report(), expected);
+
+    std::shuffle(stream.begin(), stream.end(), std::mt19937(13));
+    ProtocolChecker shuffled(geom, sys.timing());
+    for (const Command &c : stream)
+        shuffled.observe(c);
+    EXPECT_EQ(shuffled.report(), expected);
 }
 
 // --------------------------------------------------------------------

@@ -5,9 +5,10 @@
  * The golden tests pin the full rendered rule table for both timing
  * presets: any change to a derived gap, a rule's scope, or the rule
  * set itself must show up as a reviewed golden diff here. The unit
- * tests cross-check earliestLegal/bindingRules against hand-built
- * ProtocolChecker streams at the exact legality boundary, and the
- * verifier tests run the bounded exhaustive exploration in-process.
+ * tests pin earliestLegal, and the rules breached one cycle earlier,
+ * against hand-built ProtocolChecker streams at the exact legality
+ * boundary, and the verifier tests run the Device-vs-spec search
+ * in-process.
  */
 
 #include <gtest/gtest.h>
@@ -67,6 +68,18 @@ replay(const Geometry &geom, const TimingParams &timing,
     return pc.violations();
 }
 
+/** Names of the rules `c` breaches when issued at `at`. */
+std::vector<std::string>
+breachNames(const SpecModel &m, const SpecModel::Cand &c, Cycle at)
+{
+    std::vector<SpecBreach> found;
+    m.breaches(c, at, found);
+    std::vector<std::string> names;
+    for (const SpecBreach &b : found)
+        names.push_back(b.rule);
+    return names;
+}
+
 bool
 flags(const std::vector<Violation> &vs, const std::string &constraint)
 {
@@ -113,13 +126,16 @@ TEST(SpecRuleTable, GoldenDdr4)
               "WR->REF rank any gap=1 tRFC\n"
               "MSW->REF rank any gap=1 tRFC\n"
               "RD->RD channel same gap=4 bus-overlap\n"
-              "RD->RD channel diff gap=6 tRTR(bus)\n"
+              "RD->RD channel diff gap=4 bus-overlap\n"
+              "RD->RD channel diff gap=6 tRTR(bus) bubble=2\n"
               "RD->WR channel same gap=9 bus-overlap\n"
               "RD->WR channel same gap=11 rd-wr-turnaround\n"
-              "RD->WR channel diff gap=11 tRTR(bus)\n"
-              "WR->RD channel diff gap=1 tRTR(bus)\n"
+              "RD->WR channel diff gap=9 bus-overlap\n"
+              "RD->WR channel diff gap=11 tRTR(bus) bubble=2\n"
+              "WR->RD channel diff gap=1 tRTR(bus) bubble=2\n"
               "WR->WR channel same gap=4 bus-overlap\n"
-              "WR->WR channel diff gap=6 tRTR(bus)\n"
+              "WR->WR channel diff gap=4 bus-overlap\n"
+              "WR->WR channel diff gap=6 tRTR(bus) bubble=2\n"
               "# tFAW: 5th ACT >= oldest-of-last-4-ACTs + 26 "
               "(rank window)\n"
               "# state: ACT needs bank closed; PRE needs bank open; "
@@ -157,13 +173,16 @@ TEST(SpecRuleTable, GoldenRram)
               "RD->MSW rank any gap=1 mode-state\n"
               "WR->MSW rank any gap=1 mode-state\n"
               "RD->RD channel same gap=4 bus-overlap\n"
-              "RD->RD channel diff gap=6 tRTR(bus)\n"
+              "RD->RD channel diff gap=4 bus-overlap\n"
+              "RD->RD channel diff gap=6 tRTR(bus) bubble=2\n"
               "RD->WR channel same gap=9 bus-overlap\n"
               "RD->WR channel same gap=11 rd-wr-turnaround\n"
-              "RD->WR channel diff gap=11 tRTR(bus)\n"
-              "WR->RD channel diff gap=1 tRTR(bus)\n"
+              "RD->WR channel diff gap=9 bus-overlap\n"
+              "RD->WR channel diff gap=11 tRTR(bus) bubble=2\n"
+              "WR->RD channel diff gap=1 tRTR(bus) bubble=2\n"
               "WR->WR channel same gap=4 bus-overlap\n"
-              "WR->WR channel diff gap=6 tRTR(bus)\n"
+              "WR->WR channel diff gap=4 bus-overlap\n"
+              "WR->WR channel diff gap=6 tRTR(bus) bubble=2\n"
               "# tFAW: 5th ACT >= oldest-of-last-4-ACTs + 26 "
               "(rank window)\n"
               "# state: ACT needs bank closed; PRE needs bank open; "
@@ -183,7 +202,7 @@ TEST(SpecModel, ActToCasBoundaryMatchesChecker)
     ASSERT_TRUE(m.stateLegal(rd));
     const Cycle e = m.earliestLegal(rd, m.lastIssue());
     EXPECT_EQ(e, 100 + t.tRCD);
-    EXPECT_EQ(m.bindingRules(rd, e),
+    EXPECT_EQ(breachNames(m, rd, e - 1),
               std::vector<std::string>{"tRCD"});
     EXPECT_TRUE(m.legalAt(rd, e));
     EXPECT_FALSE(m.legalAt(rd, e - 1));
@@ -208,7 +227,7 @@ TEST(SpecModel, WriteRecoveryFoldsDataOffset)
     const Cycle e = m.earliestLegal(pre, m.lastIssue());
     // tWR counts from write-data end: issue + CWL + tBL + tWR.
     EXPECT_EQ(e, t.tRCD + t.cwl + t.tBL + t.tWR);
-    EXPECT_EQ(m.bindingRules(pre, e),
+    EXPECT_EQ(breachNames(m, pre, e - 1),
               std::vector<std::string>{"tWR"});
 
     const std::vector<Command> ok = {cmdAt(CmdKind::Act, 0, 0),
@@ -237,7 +256,7 @@ TEST(SpecModel, TfawWindowBindsOnFifthAct)
     const SpecModel::Cand fifth = cand(CmdKind::Act, 0, 4);
     const Cycle e = m.earliestLegal(fifth, m.lastIssue());
     EXPECT_EQ(e, t.tFAW); // Window opened at cycle 0.
-    EXPECT_EQ(m.bindingRules(fifth, e),
+    EXPECT_EQ(breachNames(m, fifth, e - 1),
               std::vector<std::string>{"tFAW"});
 
     cmds.push_back(cmdAt(CmdKind::Act, e, 0, 4));
@@ -266,7 +285,7 @@ TEST(SpecModel, RefreshBlackoutAndTiedSwitch)
     const SpecModel::Cand act = cand(CmdKind::Act, 0);
     const Cycle e = m.earliestLegal(act, m.lastIssue());
     EXPECT_EQ(e, 11 + t.tRFC);
-    EXPECT_EQ(m.bindingRules(act, e),
+    EXPECT_EQ(breachNames(m, act, e - 1),
               std::vector<std::string>{"tRFC"});
 }
 
@@ -312,56 +331,47 @@ TEST(SpecModel, RefDeadlinePostponesEightIntervals)
     EXPECT_EQ(m.refDeadline(0, 0), Cycle{10} * t.tREFI);
 }
 
-TEST(SpecVerifier, ExhaustiveAgreementDdr4)
+void
+expectDeviceObeysSpec(const TimingParams &timing)
 {
     VerifyOptions opt;
     opt.depth = 2;
-    opt.maxNodes = 5000;
+    opt.maxNodes = 50000;
     const VerifyStats stats =
-        verifySpecAgainstChecker(smallGeom(), ddr4Timing(), opt);
+        verifyDeviceAgainstSpec(smallGeom(), timing, timing, opt);
     EXPECT_TRUE(stats.ok()) << stats.summary()
                             << (stats.failures.empty()
                                     ? ""
                                     : "\n" + stats.failures.front());
-    EXPECT_TRUE(stats.exhausted);
-    EXPECT_GT(stats.boundaryProbes, 0u);
-    EXPECT_GT(stats.stateProbes, 0u);
+    EXPECT_TRUE(stats.exhausted) << stats.summary();
+    EXPECT_GT(stats.specStates, 0u);
+    EXPECT_GT(stats.earliestProbes, 0u);
     EXPECT_GT(stats.monotoneProbes, 0u);
 }
 
-TEST(SpecVerifier, ExhaustiveAgreementRram)
+TEST(SpecVerifier, DeviceObeysSpecDdr4)
 {
-    VerifyOptions opt;
-    opt.depth = 2;
-    opt.maxNodes = 5000;
-    const VerifyStats stats =
-        verifySpecAgainstChecker(smallGeom(), rramTiming(), opt);
-    EXPECT_TRUE(stats.ok()) << stats.summary()
-                            << (stats.failures.empty()
-                                    ? ""
-                                    : "\n" + stats.failures.front());
-    EXPECT_TRUE(stats.exhausted);
+    expectDeviceObeysSpec(ddr4Timing());
 }
 
-TEST(SpecVerifier, DetectsInjectedSpecLooseness)
+TEST(SpecVerifier, DeviceObeysSpecRram)
 {
-    // Sanity-check the harness itself: loosen one parameter on the
-    // spec side only and the cross-examination must notice.
+    expectDeviceObeysSpec(rramTiming());
+}
+
+TEST(SpecVerifier, DetectsInjectedDeviceLooseness)
+{
+    // Sanity-check the harness itself: an engine one cycle short on
+    // tRCD, checked against the real preset, must be caught.
+    TimingParams loose = ddr4Timing();
+    --loose.tRCD;
     VerifyOptions opt;
     opt.depth = 1;
-    opt.maxNodes = 200;
-    TimingParams loose = ddr4Timing();
-    loose.tRCD = 16; // Spec table built from this...
-    const Geometry geom = smallGeom();
-    // ...but replay the probes against the real checker by hand.
-    SpecModel m(geom, loose);
-    m.apply(cand(CmdKind::Act, 0), 0);
-    const Cycle e =
-        m.earliestLegal(cand(CmdKind::Rd, 0), m.lastIssue());
-    EXPECT_EQ(e, 16);
-    const std::vector<Command> probe = {cmdAt(CmdKind::Act, 0, 0),
-                                        cmdAt(CmdKind::Rd, e, 0)};
-    EXPECT_TRUE(flags(replay(geom, ddr4Timing(), probe), "tRCD"));
+    const VerifyStats stats =
+        verifyDeviceAgainstSpec(smallGeom(), loose, ddr4Timing(), opt);
+    ASSERT_FALSE(stats.ok()) << stats.summary();
+    EXPECT_NE(stats.failures.front().find("tRCD"), std::string::npos)
+        << stats.failures.front();
 }
 
 } // namespace

@@ -13,7 +13,9 @@ binaries, with real SIGKILLs:
   3. exhaust retries on one spec (`kill@spec:0`) and assert the
      campaign still completes with partial results, a `failed` array,
      and a non-zero exit -- then resume to convergence;
-  4. spot-check flag validation (usage errors exit 2).
+  4. spot-check flag validation (usage errors exit 2);
+  5. check that a silently wrong samsim result is reported as SDC and
+     exits 1.
 
 Usage:
     python3 tools/chaos_smoke.py <samcampaign> [<samsim>]
@@ -185,6 +187,19 @@ def check_flag_validation(samcampaign, samsim, tmp):
     print(f"chaos_smoke: flag validation ok ({len(cases)} cases)")
 
 
+def check_sdc_verdict(samsim, tmp):
+    """A wrong result with no poisoned rows is SDC and exits 1."""
+    cases = [["--ecc", "SEC-DED", "--fault-model", "chipkill"],
+             ["--ecc", "none", "--fault-model", "chipkill"]]
+    for flags in cases:
+        label = "samsim " + " ".join(flags)
+        proc = run([samsim] + flags, tmp)
+        expect_exit(f"sdc {label}", proc, 1)
+        if "result: SDC (silent data corruption)" not in proc.stdout:
+            fail(f"sdc {label}", "expected the SDC verdict line", proc)
+    print(f"chaos_smoke: SDC verdict ok ({len(cases)} cases)")
+
+
 def main():
     if len(sys.argv) < 2:
         print(__doc__)
@@ -197,6 +212,8 @@ def main():
             check_die_resume(samcampaign, tmp, golden, seed, point)
         check_failed_path(samcampaign, tmp, golden)
         check_flag_validation(samcampaign, samsim, tmp)
+        if samsim:
+            check_sdc_verdict(samsim, tmp)
     print("chaos_smoke: all checks passed")
     return 0
 

@@ -429,6 +429,7 @@ main(int argc, char **argv)
         checkChip("--chipkill-chip", cfg.faults.chipkillChip);
     }
 
+    bool sdc = false;
     try {
         Session session(cfg);
         std::printf("%s on %s (%s, Ta=%llu Tb=%llu records)\n",
@@ -498,8 +499,12 @@ main(int argc, char **argv)
                 std::printf("result: VERIFIED against reference "
                             "executor\n");
             } else {
-                std::printf("result: MISMATCH (rows %llu vs %llu, "
-                            "checksum %llu vs %llu)%s\n",
+                // A wrong result nothing flagged as poisoned: the run
+                // fails, whatever fault caused it.
+                sdc = true;
+                std::printf("result: SDC (silent data corruption) -- "
+                            "rows %llu vs %llu, checksum %llu vs "
+                            "%llu%s\n",
                             static_cast<unsigned long long>(
                                 run.result.rows),
                             static_cast<unsigned long long>(expect.rows),
@@ -546,5 +551,5 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
     }
-    return 0;
+    return sdc ? 1 : 0;
 }

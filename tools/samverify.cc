@@ -1,17 +1,18 @@
 /**
  * @file
- * Offline model checker for the protocol timing specification.
+ * Offline check of the timing engine against the timing specification.
  *
- * Explores every reachable command sequence of a bounded depth (up to
- * state equivalence) over a configurable geometry and cross-examines
- * the declarative rule table (src/check/spec_model) against the
- * imperative ProtocolChecker at every step: agreement at the earliest
- * legal cycle and one cycle before it, state-rule agreement, deadlock
- * freedom, and upward-closure of legality in time (the monotonicity
- * property the event-driven scheduler relies on).
+ * Runs every sequence of a bounded number of Device accesses over a
+ * configurable geometry (RD/WR x mode x row x rank x bank x 0-1 extra
+ * bursts, at non-decreasing arrival times that include a gap crossing
+ * tREFI) and checks each emitted command stream against the declarative
+ * rule table (src/check/spec_model) through the ProtocolChecker. At
+ * each new spec state it also probes the table itself: clean at each
+ * candidate's earliest legal cycle and later (upward closure), REF
+ * deadlines reachable, and no deadlock.
  *
- * Exit status: 0 when every probe agreed, 1 on any disagreement,
- * 2 on usage errors.
+ * Exit status: 0 when every stream and probe was clean, 1 on any
+ * finding, 2 on usage errors.
  */
 
 #include <cstdio>
@@ -33,11 +34,11 @@ usage(const char *argv0)
         "          [--ranks N] [--groups N] [--banks N] [--rows N]\n"
         "          [--no-monotone] [--print-table]\n"
         "\n"
-        "Cross-checks the declarative timing spec table against the\n"
-        "runtime ProtocolChecker by bounded exhaustive exploration.\n"
+        "Checks the Device timing engine against the declarative timing\n"
+        "spec table by bounded exhaustive search over access sequences.\n"
         "  --preset      timing preset to verify (default ddr4)\n"
-        "  --depth       commands per explored sequence (default 3)\n"
-        "  --max-nodes   exploration cap (default 200000)\n"
+        "  --depth       accesses per explored sequence (default 3)\n"
+        "  --max-nodes   cap on explored sequences (default 200000)\n"
         "  --ranks       ranks in the probe geometry (default 2)\n"
         "  --groups      bank groups per rank (default 2)\n"
         "  --banks       banks per group (default 1)\n"
@@ -105,6 +106,13 @@ main(int argc, char **argv)
         }
     }
 
+    if (geom.ranks == 0 || geom.bankGroups == 0 ||
+        geom.banksPerGroup == 0 || opt.probeRows == 0) {
+        std::fprintf(stderr, "--ranks, --groups, --banks and --rows "
+                             "must be at least 1\n");
+        return 2;
+    }
+
     sam::TimingParams timing;
     if (preset == "ddr4") {
         timing = sam::ddr4Timing();
@@ -125,7 +133,7 @@ main(int argc, char **argv)
                 preset.c_str(), opt.depth, geom.channels, geom.ranks,
                 geom.bankGroups, geom.banksPerGroup, opt.probeRows);
     const sam::VerifyStats stats =
-        sam::verifySpecAgainstChecker(geom, timing, opt);
+        sam::verifyDeviceAgainstSpec(geom, timing, timing, opt);
     std::printf("%s\n", stats.summary().c_str());
     for (const std::string &f : stats.failures)
         std::printf("FAIL: %s\n", f.c_str());
