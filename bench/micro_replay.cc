@@ -2,13 +2,16 @@
  * @file
  * google-benchmark microbenchmarks for the simulation hot paths this
  * perf work targets: arena trace append, the clean-line ECC read fast
- * path (on vs off), the allocation-free encode+store write path, and
- * an end-to-end phase-1 + replay run reported in records/second.
+ * path (on vs off), the allocation-free encode+store write path,
+ * table-image line reads (first touch vs memo hit), and an end-to-end
+ * phase-1 + replay run reported in records/second.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "src/cache/sector_cache.hh"
@@ -18,6 +21,7 @@
 #include "src/dram/data_path.hh"
 #include "src/ecc/ecc_engine.hh"
 #include "src/imdb/query.hh"
+#include "src/imdb/table.hh"
 #include "src/sim/trace.hh"
 
 namespace {
@@ -101,6 +105,62 @@ BM_WriteLineEncoded(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_WriteLineEncoded);
+
+/**
+ * Table-image reads as the DataPath's clean-line fast path makes them
+ * (BackingStore::refLine + a 64B copy), over Ta's 64K lines (4096
+ * records of 1 KB). `first_touch` builds a fresh image per iteration,
+ * so every read synthesizes and memoizes its line; otherwise every
+ * read is a memo hit. `step` is the walk's line stride: 1 reads
+ * sequentially, 16 reads one line per record (a field scan), wrapping
+ * around until every line is read once.
+ */
+void
+BM_TableLineRead(benchmark::State &state, bool first_touch,
+                 std::size_t step)
+{
+    const Geometry geom;
+    const Table ta(TableSchema{"Ta", 128, 4096}, Addr{1} << 30,
+                   LayoutKind::SamAligned, 8, geom);
+    const Table tb(TableSchema{"Tb", 16, 4096}, Addr{2} << 30,
+                   LayoutKind::SamAligned, 8, geom);
+    const std::size_t lines = ta.footprintBytes() / kCachelineBytes;
+    std::vector<Addr> order;
+    for (std::size_t first = 0; first < step; ++first) {
+        for (std::size_t i = first; i < lines; i += step)
+            order.push_back(ta.base() + i * kCachelineBytes);
+    }
+    const auto mount = [&] {
+        auto store = std::make_unique<BackingStore>(kCachelineBytes);
+        store->install(
+            TableCache().materialized(ta, tb, EccScheme::None));
+        return store;
+    };
+    const auto walk = [&](const BackingStore &store) {
+        std::uint8_t out[kCachelineBytes];
+        for (Addr a : order) {
+            std::memcpy(out, store.refLine(a).data, kCachelineBytes);
+            benchmark::DoNotOptimize(out[0]);
+        }
+    };
+    std::unique_ptr<BackingStore> warm;
+    if (!first_touch) {
+        warm = mount();
+        walk(*warm);
+    }
+    for (auto _ : state) {
+        if (first_touch)
+            walk(*mount());
+        else
+            walk(*warm);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * order.size()));
+}
+BENCHMARK_CAPTURE(BM_TableLineRead, first_touch_seq, true, 1);
+BENCHMARK_CAPTURE(BM_TableLineRead, first_touch_per_record, true, 16);
+BENCHMARK_CAPTURE(BM_TableLineRead, memo_hit_seq, false, 1);
+BENCHMARK_CAPTURE(BM_TableLineRead, memo_hit_per_record, false, 16);
 
 /**
  * End-to-end phase-1 + MSHR-bounded replay of one design point,

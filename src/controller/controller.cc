@@ -35,8 +35,6 @@ ControllerStats::registerIn(StatGroup &group) const
     group.addCounter("frRowHitPicks", frRowHitPicks,
                      "FR-FCFS row-hit first picks");
     group.addCounter("fcfsPicks", fcfsPicks, "oldest-first picks");
-    group.addCounter("scrubWrites", scrubWrites,
-                     "RAS demand-scrub writebacks");
     group.addAccum("totalReadLatency", totalReadLatency,
                    "sum of read latencies (cycles)");
 }
@@ -133,8 +131,6 @@ MemoryController::serve(MemRequest req)
                        "write without a full-line payload");
             dataPath_.writeLine(req.gatherLines[0], req.writeData);
         }
-        if (req.isScrub)
-            ++stats_.scrubWrites;
         ++stats_.writesServed;
         break;
       case AccessType::StrideWrite:

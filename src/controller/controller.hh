@@ -39,7 +39,6 @@ struct ControllerStats
     Counter strideWritesServed;
     Counter frRowHitPicks;   ///< Scheduling picks that were row hits.
     Counter fcfsPicks;       ///< Fallback oldest-first picks.
-    Counter scrubWrites;     ///< RAS demand-scrub writebacks issued.
     Accum totalReadLatency;  ///< Sum of (done - arrival) over reads.
 
     void registerIn(StatGroup &group) const;

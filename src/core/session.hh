@@ -47,17 +47,17 @@ class Session
   public:
     /**
      * `base` carries everything except the design kind. `tables` is
-     * the materialized-table cache shared by the session's systems; a
+     * the table-image cache shared by the session's systems; a
      * private cache is created when none is given. A campaign passes
-     * one cache to many sessions so each distinct table pair is
-     * ECC-encoded exactly once per process.
+     * one cache to many sessions so each table line is built at most
+     * once per process.
      */
     explicit Session(SimConfig base = {},
                      std::shared_ptr<TableCache> tables = nullptr);
 
     const SimConfig &baseConfig() const { return base_; }
 
-    /** The materialized-table cache backing this session's systems. */
+    /** The table-image cache backing this session's systems. */
     const std::shared_ptr<TableCache> &tableCache() const
     {
         return tables_;

@@ -8,104 +8,98 @@
 
 namespace sam {
 
-void
-StoreSnapshot::append(Addr addr, const std::uint8_t *blob_bytes,
-                      bool is_clean)
+TableImage::TableImage(std::vector<Range> ranges, LineBuilder build)
+    : build_(std::move(build))
 {
-    sam_assert(blobBytes > 0, "append before blobBytes is set");
-    const std::size_t slot = addrs.size();
-    if (dense_) {
-        if (!extents_.empty() &&
-            addr == extents_.back().base +
-                        extents_.back().count * kCachelineBytes) {
-            ++extents_.back().count;
-        } else if (extents_.empty() ||
-                   addr > extents_.back().base +
-                              extents_.back().count * kCachelineBytes) {
-            extents_.push_back(Extent{addr, 1, slot});
-        } else {
-            // Out-of-order append: fall back to a hash index built
-            // from everything stored so far.
-            dense_ = false;
-            index_.reserve(slot + 1);
-            for (std::size_t i = 0; i < slot; ++i)
-                index_.emplace(addrs[i], i);
-            extents_.clear();
-        }
+    for (const Range &r : ranges) {
+        spans_.push_back(Span{r.base, Addr{r.lines} * kCachelineBytes,
+                              size_});
+        size_ += r.lines;
     }
-    if (!dense_)
-        index_.emplace(addr, slot);
-    addrs.push_back(addr);
-    arena.insert(arena.end(), blob_bytes, blob_bytes + blobBytes);
-    clean.push_back(is_clean);
+    // Arena slots are 32-bit (slot + 1 in the index, 0 meaning
+    // unbuilt); a 10M-record table pair is ~1.8e8 lines.
+    sam_assert(size_ < (std::size_t{1} << 32) - 1,
+               "table image too large for 32-bit slots: ", size_);
+    leaves_ = std::vector<std::atomic<Leaf *>>(
+        (size_ + kLeafLines - 1) >> kLeafShift);
+    chunks_.resize((size_ + kChunkLines - 1) >> kChunkShift);
+    memoBytes_ = leaves_.size() * sizeof(leaves_[0]) +
+                 chunks_.size() * sizeof(chunks_[0]);
 }
 
-std::size_t
-StoreSnapshot::appendDenseRows(Addr base, std::size_t count)
+TableImage::~TableImage()
 {
-    sam_assert(blobBytes > 0, "append before blobBytes is set");
-    sam_assert(base % kCachelineBytes == 0, "unaligned dense base");
-    if (count == 0)
-        return addrs.size();
-    const std::size_t first = addrs.size();
-    if (dense_) {
-        if (!extents_.empty() &&
-            base == extents_.back().base +
-                        extents_.back().count * kCachelineBytes) {
-            extents_.back().count += count;
-        } else if (extents_.empty() ||
-                   base > extents_.back().base +
-                              extents_.back().count * kCachelineBytes) {
-            extents_.push_back(Extent{base, count, first});
-        } else {
-            panic("appendDenseRows out of ascending order");
-        }
-    } else {
-        for (std::size_t i = 0; i < count; ++i)
-            index_.emplace(base + i * kCachelineBytes, first + i);
-    }
-    addrs.reserve(first + count);
-    for (std::size_t i = 0; i < count; ++i)
-        addrs.push_back(base + i * kCachelineBytes);
-    clean.resize(first + count, true);
-    arena.resize((first + count) * blobBytes, 0);
-    return first;
+    for (auto &leaf : leaves_)
+        delete leaf.load(std::memory_order_relaxed);
 }
 
-std::size_t
-StoreSnapshot::find(Addr addr) const
+Addr
+TableImage::lineAddr(std::size_t index) const
 {
-    if (dense_) {
-        // Last extent with base <= addr.
-        auto it = std::upper_bound(
-            extents_.begin(), extents_.end(), addr,
-            [](Addr a, const Extent &e) { return a < e.base; });
-        if (it == extents_.begin())
-            return npos;
-        --it;
-        const Addr off = addr - it->base;
-        if (off % kCachelineBytes != 0 ||
-            off / kCachelineBytes >= it->count) {
-            return npos;
-        }
-        return it->firstSlot + off / kCachelineBytes;
+    sam_assert(index < size_, "image index out of range: ", index);
+    for (const Span &s : spans_) {
+        const std::size_t lines = s.bytes / kCachelineBytes;
+        if (index - s.first < lines)
+            return s.base + (index - s.first) * kCachelineBytes;
     }
-    auto it = index_.find(addr);
-    return it != index_.end() ? it->second : npos;
+    panic("image index ", index, " in no range");
+}
+
+const std::uint8_t *
+TableImage::synthesize(std::size_t index) const
+{
+    sam_assert(index < size_, "image index out of range: ", index);
+    // Build outside the lock so first touches of different lines
+    // synthesize in parallel; the lock covers only the append.
+    std::size_t range = 0;
+    while (index - spans_[range].first >=
+           spans_[range].bytes / kCachelineBytes)
+        ++range;
+    std::uint8_t line[kCachelineBytes];
+    build_(range, (index - spans_[range].first) * kCachelineBytes, line);
+
+    MutexLock lock(mutex_);
+    std::atomic<Leaf *> &leaf_ref = leaves_[index >> kLeafShift];
+    Leaf *leaf = leaf_ref.load(std::memory_order_relaxed);
+    if (leaf == nullptr) {
+        leaf = new Leaf();
+        memoBytes_.fetch_add(sizeof(Leaf), std::memory_order_relaxed);
+        leaf_ref.store(leaf, std::memory_order_release);
+    }
+    std::atomic<std::uint32_t> &slot_ref = leaf->slots[index & kLeafMask];
+    if (const std::uint32_t s = slot_ref.load(std::memory_order_relaxed))
+        return slotBytes(s - 1); // another thread published it first
+
+    // Slots are handed out under the lock, in first-touch order.
+    const auto slot = static_cast<std::uint32_t>(
+        linesSynthesized_.load(std::memory_order_relaxed));
+    std::unique_ptr<Line[]> &chunk = chunks_[slot >> kChunkShift];
+    if (!chunk) {
+        const std::size_t lines = std::min<std::size_t>(
+            kChunkLines, size_ - (std::size_t{slot} & ~(kChunkLines - 1)));
+        chunk = std::make_unique_for_overwrite<Line[]>(lines);
+        memoBytes_.fetch_add(lines * sizeof(Line),
+                             std::memory_order_relaxed);
+    }
+    std::uint8_t *dst = slotBytes(slot);
+    std::memcpy(dst, line, kCachelineBytes);
+    linesSynthesized_.fetch_add(1, std::memory_order_relaxed);
+    slot_ref.store(slot + 1, std::memory_order_release);
+    return dst;
 }
 
 void
-BackingStore::materializeBlob(const StoreSnapshot &layer,
-                              std::size_t slot, std::uint8_t *dst) const
+BackingStore::materializeBlob(const TableImage &layer, std::size_t index,
+                              std::uint8_t *dst) const
 {
-    const std::uint8_t *src = layer.blob(slot);
-    if (!layer.lazyParity || blobBytes_ <= kCachelineBytes) {
-        std::memcpy(dst, src, blobBytes_);
+    const std::uint8_t *data = layer.line(index);
+    if (blobBytes_ <= kCachelineBytes) {
+        std::memcpy(dst, data, blobBytes_);
         return;
     }
     sam_assert(parityEcc_ != nullptr,
-               "lazy-parity layer line touched with no parity encoder");
-    parityEcc_->encodeLineInto(src, dst);
+               "image line materialized with no parity encoder");
+    parityEcc_->encodeLineInto(data, dst);
 }
 
 const BackingStore::OverlayLine *
@@ -117,15 +111,15 @@ BackingStore::findOverlay(Addr addr) const
     return it != overlay_.end() ? &it->second : nullptr;
 }
 
-const StoreSnapshot *
-BackingStore::findLayer(Addr addr, std::size_t &slot) const
+const TableImage *
+BackingStore::findLayer(Addr addr, std::size_t &index) const
 {
     // Newest layer wins (matters only if layers ever overlapped).
     for (auto layer = layers_.rbegin(); layer != layers_.rend();
          ++layer) {
-        const std::size_t s = (*layer)->find(addr);
-        if (s != StoreSnapshot::npos) {
-            slot = s;
+        const std::size_t i = (*layer)->find(addr);
+        if (i != TableImage::npos) {
+            index = i;
             return layer->get();
         }
     }
@@ -135,8 +129,8 @@ BackingStore::findLayer(Addr addr, std::size_t &slot) const
 bool
 BackingStore::inAnyLayer(Addr addr) const
 {
-    std::size_t slot = 0;
-    return findLayer(addr, slot) != nullptr;
+    std::size_t index = 0;
+    return findLayer(addr, index) != nullptr;
 }
 
 std::vector<std::uint8_t>
@@ -148,10 +142,10 @@ BackingStore::readLine(Addr line_addr) const
         const std::uint8_t *p = arena_.data() + o->offset;
         return std::vector<std::uint8_t>(p, p + blobBytes_);
     }
-    std::size_t slot = 0;
-    if (const StoreSnapshot *layer = findLayer(line_addr, slot)) {
+    std::size_t index = 0;
+    if (const TableImage *layer = findLayer(line_addr, index)) {
         std::vector<std::uint8_t> blob(blobBytes_);
-        materializeBlob(*layer, slot, blob.data());
+        materializeBlob(*layer, index, blob.data());
         return blob;
     }
     return std::vector<std::uint8_t>(blobBytes_, 0);
@@ -164,11 +158,11 @@ BackingStore::refLine(Addr line_addr) const
                "unaligned line read: ", line_addr);
     if (const OverlayLine *o = findOverlay(line_addr))
         return LineRef{arena_.data() + o->offset, o->clean};
-    std::size_t slot = 0;
-    if (const StoreSnapshot *layer = findLayer(line_addr, slot)) {
-        return LineRef{layer->blob(slot), layer->clean[slot],
-                       layer->lazyParity &&
-                           blobBytes_ > kCachelineBytes};
+    std::size_t index = 0;
+    if (const TableImage *layer = findLayer(line_addr, index)) {
+        // Image lines are builder output, hence clean.
+        return LineRef{layer->line(index), true,
+                       blobBytes_ > kCachelineBytes};
     }
     return LineRef{};
 }
@@ -196,8 +190,7 @@ BackingStore::writeLine(Addr line_addr, const std::uint8_t *blob,
         if (!inAnyLayer(line_addr))
             overlayOrder_.push_back(line_addr);
     } else {
-        // Rewrite in place: the arena slot is exclusively ours
-        // (snapshots copy out of the arena, they never alias it).
+        // Rewrite in place: the arena slot is exclusively ours.
         std::memcpy(arena_.data() + it->second.offset, blob, blobBytes_);
         it->second.clean = clean;
     }
@@ -218,13 +211,13 @@ BackingStore::corruptLine(Addr line_addr,
     sam_assert(xor_mask.size() == blobBytes_, "mask size mismatch");
     auto it = overlay_.find(line_addr);
     if (it == overlay_.end()) {
-        // Copy-on-write into the overlay: the current blob may be
-        // shared with a table snapshot installed into other systems.
+        // Copy-on-write into the overlay: the current line may come
+        // from a table image installed into other systems.
         const std::size_t offset = arena_.size();
         arena_.resize(offset + blobBytes_, 0);
-        std::size_t slot = 0;
-        if (const StoreSnapshot *layer = findLayer(line_addr, slot))
-            materializeBlob(*layer, slot, arena_.data() + offset);
+        std::size_t index = 0;
+        if (const TableImage *layer = findLayer(line_addr, index))
+            materializeBlob(*layer, index, arena_.data() + offset);
         it = overlay_.emplace(line_addr, OverlayLine{offset, false})
                  .first;
         overlayAll_.push_back(line_addr);
@@ -253,51 +246,17 @@ BackingStore::sampleLine(Rng &rng) const
     std::size_t idx = rng.below(lineCount());
     for (const auto &layer : layers_) {
         if (idx < layer->size())
-            return layer->addrs[idx];
+            return layer->lineAddr(idx);
         idx -= layer->size();
     }
     return overlayOrder_[idx];
 }
 
-StoreSnapshot
-BackingStore::snapshot() const
-{
-    StoreSnapshot snap;
-    snap.blobBytes = blobBytes_;
-    const std::size_t n = lineCount();
-    snap.addrs.reserve(n);
-    snap.clean.reserve(n);
-    snap.arena.reserve(n * blobBytes_);
-    std::vector<std::uint8_t> scratch(blobBytes_);
-    for (const auto &layer : layers_) {
-        for (std::size_t i = 0; i < layer->size(); ++i) {
-            const Addr addr = layer->addrs[i];
-            if (const OverlayLine *o = findOverlay(addr)) {
-                snap.append(addr, arena_.data() + o->offset, o->clean);
-            } else {
-                // Captures always carry real parity, even when the
-                // layer deferred it.
-                materializeBlob(*layer, i, scratch.data());
-                snap.append(addr, scratch.data(), layer->clean[i]);
-            }
-        }
-    }
-    for (Addr addr : overlayOrder_) {
-        auto it = overlay_.find(addr);
-        sam_assert(it != overlay_.end(), "order/overlay mismatch");
-        snap.append(addr, arena_.data() + it->second.offset,
-                    it->second.clean);
-    }
-    return snap;
-}
-
 void
-BackingStore::install(std::shared_ptr<const StoreSnapshot> snap)
+BackingStore::install(std::shared_ptr<const TableImage> image)
 {
-    sam_assert(snap != nullptr, "installing a null snapshot");
-    sam_assert(snap->size() == 0 || snap->blobBytes == blobBytes_,
-               "snapshot blob size mismatch");
-    // Revert overlay writes to lines the snapshot covers, so a
+    sam_assert(image != nullptr, "installing a null table image");
+    // Revert overlay writes to lines the image covers, so a
     // re-install after a write query restores the clean table. Walk
     // overlayAll_ (insertion order), not overlay_ itself: hash-order
     // iteration is flagged by sam-determinism, and although the erase
@@ -305,7 +264,7 @@ BackingStore::install(std::shared_ptr<const StoreSnapshot> snap)
     // is the invariant the bit-identity guarantee rests on.
     if (!overlay_.empty()) {
         const auto covered = [&](Addr a) {
-            return snap->find(a) != StoreSnapshot::npos;
+            return image->find(a) != TableImage::npos;
         };
         bool erased = false;
         for (Addr a : overlayAll_) {
@@ -323,10 +282,10 @@ BackingStore::install(std::shared_ptr<const StoreSnapshot> snap)
         }
     }
     for (const auto &layer : layers_) {
-        if (layer == snap)
+        if (layer == image)
             return; // already mounted; overlay revert was the point
     }
-    layers_.push_back(std::move(snap));
+    layers_.push_back(std::move(image));
 }
 
 } // namespace sam

@@ -6,29 +6,32 @@
  * rank would hold them, so chip-failure injection corrupts stored state
  * and the ECC engine's correction is exercised on the actual data path.
  *
- * The store is layered for campaign sharing: installed snapshots are
- * immutable base layers held by shared pointer (a materialized table is
- * encoded once and installed into many systems in O(1)), and every
- * write lands in a small per-store overlay checked first on reads.
- * Corruption copies-on-write into the overlay, so injected faults never
- * leak into sibling systems sharing the same snapshot.
+ * The store is layered for campaign sharing: installed table images
+ * are read-only base layers held by shared pointer (an image is
+ * created once per table pair and installed into many systems in
+ * O(1)), and every write lands in a small per-store overlay checked
+ * first on reads. Corruption copies-on-write into the overlay, so
+ * injected faults never leak into sibling systems sharing the image.
  *
  * Every stored line carries a clean tag: set when the blob is known to
- * be intact encoder output (a DataPath write or a verified scrub),
- * cleared by corruptLine. The DataPath's clean-line fast path uses it
- * to skip ECC decode on lines no fault ever touched.
+ * be intact encoder output (a DataPath write, a verified scrub, or an
+ * image line), cleared by corruptLine. The DataPath's clean-line fast
+ * path uses it to skip ECC decode on lines no fault ever touched.
  */
 
 #ifndef SAM_DRAM_BACKING_STORE_HH
 #define SAM_DRAM_BACKING_STORE_HH
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/random.hh"
+#include "src/common/thread_annotations.hh"
 #include "src/common/types.hh"
 
 namespace sam {
@@ -37,91 +40,155 @@ class EccEngine;
 
 /** One stored line's encoded bytes (data + parity). */
 using Blob = std::vector<std::uint8_t>;
-using BlobPtr = std::shared_ptr<const Blob>;
 
 /**
- * An immutable capture of a store's contents in insertion order,
- * shareable across stores and threads.
+ * The contents of a table pair as a read-only store layer, built one
+ * line at a time on first touch.
  *
- * Table materialization appends lines in ascending address order, so
- * lookup is served by a handful of dense extents (base + count ->
- * slot range) instead of a per-line hash map -- at paper scale the map
- * alone would cost gigabytes. Irregular appends fall back to a lazily
- * built index; `find` is the only lookup path either way.
+ * The image covers a fixed list of address ranges (one per table) and
+ * numbers their lines in range order: the lines of range 0 ascending,
+ * then those of range 1. That numbering is the image's only observable
+ * order (size(), lineAddr(): fault-target sampling walks it); nothing
+ * ever iterates the memo.
  *
- * Blob bytes live in one flat arena (blobBytes per slot, slot-major)
- * rather than a heap vector per line: a paper-scale table runs to
- * millions of lines, and per-line blob allocations dominated snapshot
- * construction before the arena.
+ * The first touch of a line calls the builder once for the whole
+ * process and memoizes its 64 data bytes -- never the parity, which
+ * the installing store re-encodes on demand (see LineRef::lazyParity).
+ * Memoized lines live in a chunked arena, filled in first-touch order
+ * so a query's working set stays dense; a two-level index maps each
+ * line to its arena slot. Index leaves and arena chunks are allocated
+ * on first touch, so memory follows the touched regions, not the
+ * table size.
+ *
+ * Thread-safe. A memo hit is two acquire loads and no lock. A miss
+ * synthesizes the line outside the lock, then re-checks the slot and
+ * appends + publishes under one mutex. The leaf and chunk directories
+ * are sized up front and never reallocate under readers.
  */
-struct StoreSnapshot
+class TableImage
 {
+  public:
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-    /** One run of consecutive 64B lines occupying consecutive slots. */
-    struct Extent
+    /** `lines` consecutive 64B lines starting at `base`. */
+    struct Range
     {
         Addr base = 0;
-        std::size_t count = 0;
-        std::size_t firstSlot = 0;
+        std::size_t lines = 0;
     };
 
-    /** Line addresses in insertion (slot) order. */
-    std::vector<Addr> addrs;
-    /** Parallel to `addrs`: blob is intact encoder output. */
-    std::vector<bool> clean;
-    /** Stored bytes per line (data + parity); set before appending. */
-    unsigned blobBytes = 0;
     /**
-     * Slots hold real data bytes but zero-filled parity: the builder
-     * skipped the ECC encode (the dominant table-materialization cost)
-     * because almost no line's parity is ever observed. Consumers that
-     * do need the full codeword (fault corruption, decode under
-     * injection, snapshot capture) reconstruct it on demand through the
-     * owning store's parity encoder -- the encoder is deterministic, so
-     * the reconstructed bytes are identical to an eager encode.
+     * Writes the 64 data bytes of the line at byte offset `off` from
+     * the base of range `range`. Must be a pure function of its
+     * arguments: concurrent first touches of one line may each call
+     * it, and only one result is kept.
      */
-    bool lazyParity = false;
-    /** Blob bytes of every slot, blobBytes apiece. */
-    std::vector<std::uint8_t> arena;
+    using LineBuilder = std::function<void(
+        std::size_t range, std::uint64_t off, std::uint8_t *line64)>;
 
-    std::size_t size() const { return addrs.size(); }
+    TableImage(std::vector<Range> ranges, LineBuilder build);
+    ~TableImage();
+    TableImage(const TableImage &) = delete;
+    TableImage &operator=(const TableImage &) = delete;
 
-    const std::uint8_t *blob(std::size_t slot) const
+    /** Lines covered (touched or not) across every range. */
+    std::size_t size() const { return size_; }
+
+    /** Image index of the aligned line `addr`, or npos if uncovered. */
+    std::size_t find(Addr addr) const
     {
-        return arena.data() + slot * blobBytes;
+        for (const Span &s : spans_) {
+            const Addr off = addr - s.base;
+            if (off < s.bytes)
+                return s.first + off / kCachelineBytes;
+        }
+        return npos;
     }
 
-    void append(Addr addr, const std::uint8_t *blob_bytes,
-                bool is_clean);
+    /** Address of the line with image index `index` (< size()). */
+    Addr lineAddr(std::size_t index) const;
 
-    /**
-     * Append `count` consecutive clean lines starting at `base` in one
-     * step, zero-filling their arena slots, and return the first slot.
-     * The bulk path behind parallel table encode: the snapshot's
-     * address/extent structure is laid out up front, then worker
-     * threads encode directly into the slots via mutableBlob() --
-     * byte-identical to count ascending append() calls regardless of
-     * how the slot range is divided among threads. Same ordering
-     * contract as append(): `base` must not precede the last extent.
-     */
-    std::size_t appendDenseRows(Addr base, std::size_t count);
-
-    /** Mutable blob bytes of `slot` (parallel snapshot construction). */
-    std::uint8_t *mutableBlob(std::size_t slot)
+    /** The 64 data bytes of line `index`, synthesized on first touch.
+     *  The pointer stays valid for the image's lifetime. */
+    const std::uint8_t *line(std::size_t index) const
     {
-        return arena.data() + slot * blobBytes;
+        const Leaf *leaf =
+            leaves_[index >> kLeafShift].load(std::memory_order_acquire);
+        if (leaf != nullptr) {
+            const std::uint32_t s = leaf->slots[index & kLeafMask].load(
+                std::memory_order_acquire);
+            if (s != 0)
+                return slotBytes(s - 1);
+        }
+        return synthesize(index);
     }
 
-    /** Slot of `addr`, or npos if absent. */
-    std::size_t find(Addr addr) const;
+    /** Lines memoized so far (each synthesized once per process). */
+    std::uint64_t linesSynthesized() const
+    {
+        return linesSynthesized_.load(std::memory_order_relaxed);
+    }
+
+    /** Bytes allocated for the memo: arena chunks plus index. */
+    std::uint64_t memoBytes() const
+    {
+        return memoBytes_.load(std::memory_order_relaxed);
+    }
 
   private:
-    /** Ascending extents; authoritative while `dense_` holds. */
-    std::vector<Extent> extents_;
-    bool dense_ = true;
-    /** Fallback index, built on the first out-of-order append. */
-    std::unordered_map<Addr, std::size_t> index_;
+    static constexpr unsigned kLeafShift = 12;
+    static constexpr std::size_t kLeafLines = std::size_t{1} << kLeafShift;
+    static constexpr std::size_t kLeafMask = kLeafLines - 1;
+    static constexpr unsigned kChunkShift = 14;
+    static constexpr std::size_t kChunkLines = std::size_t{1}
+                                               << kChunkShift;
+
+    /** One range in address terms, plus its first image index. */
+    struct Span
+    {
+        Addr base = 0;
+        Addr bytes = 0;
+        std::size_t first = 0;
+    };
+
+    /** Arena slot + 1 of every line of one index block (0: unbuilt). */
+    struct Leaf
+    {
+        std::atomic<std::uint32_t> slots[kLeafLines];
+    };
+
+    /** One memoized line, cache-line aligned so a read touches one. */
+    struct alignas(kCachelineBytes) Line
+    {
+        std::uint8_t bytes[kCachelineBytes];
+    };
+
+    std::uint8_t *slotBytes(std::uint32_t slot) const
+    {
+        return chunks_[slot >> kChunkShift][slot & (kChunkLines - 1)]
+            .bytes;
+    }
+
+    /** Slow path of line(): build, then append and publish. */
+    const std::uint8_t *synthesize(std::size_t index) const;
+
+    std::vector<Span> spans_;
+    std::size_t size_ = 0;
+    LineBuilder build_;
+
+    /** Serializes leaf allocation and arena appends. */
+    mutable Mutex mutex_;
+    /** Leaf per kLeafLines lines; published with release stores. */
+    mutable std::vector<std::atomic<Leaf *>> leaves_;
+    /**
+     * Arena chunks of kChunkLines lines (the last one shorter), in
+     * slot order. Sized for every line up front; an entry is written
+     * once, under mutex_, before the first slot in it is published.
+     */
+    mutable std::vector<std::unique_ptr<Line[]>> chunks_;
+    /** Arena slots in use; advanced only under mutex_. */
+    mutable std::atomic<std::uint64_t> linesSynthesized_{0};
+    mutable std::atomic<std::uint64_t> memoBytes_{0};
 };
 
 /**
@@ -143,10 +210,9 @@ class BackingStore
         const std::uint8_t *data = nullptr;
         bool clean = true;
         /**
-         * The parity bytes of `data` are zero placeholders from a
-         * lazy-parity snapshot layer; the first 64 data bytes are
-         * real. Callers that consume the full codeword must re-encode
-         * from the data bytes instead of trusting the tail.
+         * `data` is a table-image line: only its 64 data bytes exist.
+         * Callers that consume the full codeword must re-encode the
+         * parity from them instead of reading past byte 64.
          */
         bool lazyParity = false;
     };
@@ -195,33 +261,37 @@ class BackingStore
     void corruptLine(Addr line_addr,
                      const std::vector<std::uint8_t> &xor_mask);
 
-    /** Number of distinct lines stored. */
+    /**
+     * Number of distinct lines stored: every line an installed image
+     * covers (touched or not), plus overlay lines outside the images.
+     */
     std::size_t lineCount() const;
 
     /**
      * Pick a uniformly random stored line address (fault-injection
-     * target selection). lineCount() must be nonzero.
+     * target selection). Lines are numbered from geometry alone --
+     * each image's lines in image order, oldest image first, then the
+     * overlay-only lines in insertion order -- so the pick never
+     * depends on which lines were touched. lineCount() must be
+     * nonzero.
      */
     Addr sampleLine(Rng &rng) const;
 
-    /** Capture every stored line, in insertion order. */
-    StoreSnapshot snapshot() const;
-
     /**
-     * Mount a snapshot as an immutable base layer (O(1): the blobs and
-     * the index are shared, not copied). Re-installing a snapshot that
-     * is already mounted reverts any overlay writes to its lines (the
-     * dirty-table rebuild path). Layers are expected to cover disjoint
-     * address ranges (each table layout has its own base address).
+     * Mount a table image as a read-only base layer (O(1): the image
+     * is shared, not copied). Re-installing an image that is already
+     * mounted reverts any overlay writes to its lines (the dirty-table
+     * rebuild path). Layers are expected to cover disjoint address
+     * ranges (each table layout has its own base address).
      */
-    void install(std::shared_ptr<const StoreSnapshot> snap);
+    void install(std::shared_ptr<const TableImage> image);
 
     /**
-     * Encoder used to reconstruct the parity of lazy-parity layer
-     * lines on demand (readLine, corruptLine, snapshot). The pointer
-     * is borrowed; the DataPath that owns this store installs its own
-     * engine and outlives it. Required before any lazy-parity snapshot
-     * line is materialized.
+     * Encoder used to rebuild the parity of image lines on demand
+     * (readLine, corruptLine). The pointer is borrowed; the DataPath
+     * that owns this store installs its own engine and outlives it.
+     * Required before an image line is materialized into a blob wider
+     * than its 64 data bytes.
      */
     void setParityEncoder(const EccEngine *ecc) { parityEcc_ = ecc; }
 
@@ -235,23 +305,23 @@ class BackingStore
     };
 
     /**
-     * Write the full codeword of a layer line into `dst` (blobBytes_
-     * bytes), re-encoding the parity if the layer is lazy.
+     * Write the full codeword of image line `index` into `dst`
+     * (blobBytes_ bytes), encoding the parity from its data bytes.
      */
-    void materializeBlob(const StoreSnapshot &layer, std::size_t slot,
+    void materializeBlob(const TableImage &layer, std::size_t index,
                          std::uint8_t *dst) const;
 
     /** The overlay line for `addr`, or null if untouched. */
     const OverlayLine *findOverlay(Addr addr) const;
-    /** The layer slot for `addr`, or null if no layer holds it. */
-    const StoreSnapshot *findLayer(Addr addr, std::size_t &slot) const;
+    /** The layer holding `addr` and its image index, or null. */
+    const TableImage *findLayer(Addr addr, std::size_t &index) const;
     bool inAnyLayer(Addr addr) const;
 
     unsigned blobBytes_;
-    /** Borrowed parity encoder for lazy-parity layers (may be null). */
+    /** Borrowed parity encoder for image lines (may be null). */
     const EccEngine *parityEcc_ = nullptr;
-    /** Immutable shared base layers, oldest first. */
-    std::vector<std::shared_ptr<const StoreSnapshot>> layers_;
+    /** Shared table images, oldest first. */
+    std::vector<std::shared_ptr<const TableImage>> layers_;
     /** Lines written (or corrupted) in this store; checked first. */
     std::unordered_map<Addr, OverlayLine> overlay_;
     /**

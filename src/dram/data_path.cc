@@ -23,9 +23,9 @@ DataPath::DataPath(EccScheme scheme)
     : ecc_(scheme),
       store_(kCachelineBytes + EccEngine::parityBytesFor(scheme))
 {
-    // Lets the store reconstruct the parity of lazy-parity table
-    // snapshots on demand (DataPath is non-movable, so the borrowed
-    // engine pointer stays valid for the store's lifetime).
+    // Lets the store rebuild the parity of table-image lines on
+    // demand (DataPath is non-movable, so the borrowed engine pointer
+    // stays valid for the store's lifetime).
     store_.setParityEncoder(&ecc_);
 }
 
@@ -67,9 +67,9 @@ DataPath::fetchInto(Addr line_addr, std::uint8_t *out64, bool rmw)
     for (;;) {
         blobScratch_.resize(blob_bytes);
         if (ref.data && ref.lazyParity) {
-            // Lazy-parity snapshot line: the stored tail is a zero
-            // placeholder, so rebuild the full codeword from the data
-            // bytes before anything inspects or corrupts it.
+            // Table-image line: only its data bytes are stored, so
+            // rebuild the full codeword from them before anything
+            // inspects or corrupts it.
             ecc_.encodeLineInto(ref.data, blobScratch_.data());
         } else if (ref.data) {
             std::memcpy(blobScratch_.data(), ref.data, blob_bytes);

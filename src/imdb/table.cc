@@ -56,8 +56,23 @@ Table::Table(TableSchema schema, Addr base, LayoutKind layout,
                "record count must be a multiple of the gather factor");
     sam_assert(isPowerOf2(schema_.recordBytes()),
                "record size must be a power of two");
+    sam_assert(isPowerOf2(rowBytes_) && isPowerOf2(vgSpan_),
+               "row size and subarray height must be powers of two");
     sam_assert(schema_.recordBytes() <= rowBytes_,
                "records larger than a DRAM row are unsupported");
+    recShift_ = floorLog2(schema_.recordBytes());
+    gatherShift_ = floorLog2(gather_);
+    vgSpanShift_ = floorLog2(vgSpan_);
+    // Column-store span: an odd number of rows per column makes
+    // consecutive columns walk all bank ids before repeating, so
+    // concurrent per-field scan streams do not collide in a bank
+    // persistently.
+    std::uint64_t rows = divCeil(schema_.numRecords *
+                                     TableSchema::kFieldBytes,
+                                 rowBytes_);
+    if (rows % 2 == 0)
+        ++rows;
+    colSpan_ = rows * rowBytes_;
     if (layout_ == LayoutKind::SamAligned ||
         layout_ == LayoutKind::GsSegmented) {
         sam_assert(static_cast<std::uint64_t>(gather_) *
@@ -65,20 +80,6 @@ Table::Table(TableSchema schema, Addr base, LayoutKind layout,
                        schema_.recordBytes() < kCachelineBytes,
                    "gather group exceeds a DRAM row");
     }
-}
-
-std::uint64_t
-Table::colSpan() const
-{
-    // An odd number of rows per column makes consecutive columns walk
-    // all bank ids before repeating, so concurrent per-field scan
-    // streams do not collide in a bank persistently.
-    std::uint64_t rows = divCeil(schema_.numRecords *
-                                     TableSchema::kFieldBytes,
-                                 rowBytes_);
-    if (rows % 2 == 0)
-        ++rows;
-    return rows * rowBytes_;
 }
 
 std::uint64_t
@@ -236,61 +237,62 @@ bool
 Table::slotOwner(std::uint64_t off, std::uint64_t &rec,
                  unsigned &field) const
 {
-    const unsigned rec_bytes = schema_.recordBytes();
+    // Every size here but colSpan_ is a power of two (asserted by the
+    // constructor), so the layout inversion is shifts and masks.
+    constexpr unsigned kFieldShift = 3;
+    static_assert(TableSchema::kFieldBytes == 1u << kFieldShift);
+    const std::uint64_t rec_mask = (std::uint64_t{1} << recShift_) - 1;
     switch (layout_) {
       case LayoutKind::RowStore:
       case LayoutKind::SamAligned:
-        rec = off / rec_bytes;
-        field = static_cast<unsigned>((off % rec_bytes) /
-                                      TableSchema::kFieldBytes);
+        rec = off >> recShift_;
+        field = static_cast<unsigned>((off & rec_mask) >> kFieldShift);
         return rec < schema_.numRecords;
 
       case LayoutKind::ColumnStore: {
-        field = static_cast<unsigned>(off / colSpan());
-        const std::uint64_t in_col = off % colSpan();
-        rec = in_col / TableSchema::kFieldBytes;
+        field = static_cast<unsigned>(off / colSpan_);
+        rec = (off - field * colSpan_) >> kFieldShift;
         return field < schema_.numFields &&
                rec < schema_.numRecords;
       }
 
       case LayoutKind::VerticalGroup: {
-        const std::uint64_t slots_per_row = rowBytes_ / rec_bytes;
+        const unsigned slots_shift = floorLog2(rowBytes_) - recShift_;
         const std::uint64_t row = off >> vgRowShift_;
         const std::uint64_t bank_sel =
             (off >> vgBankShift_) & (vgBanks_ - 1);
-        const std::uint64_t within = off % rowBytes_;
-        const std::uint64_t col_slot = within / rec_bytes;
-        const std::uint64_t band = row / vgSpan_;
-        const std::uint64_t row_in = row % vgSpan_;
-        const std::uint64_t slot_idx =
-            band * slots_per_row + col_slot;
+        const std::uint64_t within = off & (rowBytes_ - 1);
+        const std::uint64_t col_slot = within >> recShift_;
+        const std::uint64_t band = row >> vgSpanShift_;
+        const std::uint64_t row_in = row & (vgSpan_ - 1);
+        const std::uint64_t slot_idx = (band << slots_shift) + col_slot;
         const std::uint64_t run = slot_idx * vgBanks_ + bank_sel;
-        rec = run * vgSpan_ + row_in;
-        field = static_cast<unsigned>(
-            (within % rec_bytes) / TableSchema::kFieldBytes);
+        rec = (run << vgSpanShift_) + row_in;
+        field = static_cast<unsigned>((within & rec_mask) >>
+                                      kFieldShift);
         return rec < schema_.numRecords;
       }
 
       case LayoutKind::GsSegmented: {
-        if (rec_bytes < kCachelineBytes) {
-            rec = off / rec_bytes;
-            field = static_cast<unsigned>(
-                (off % rec_bytes) / TableSchema::kFieldBytes);
+        if (schema_.recordBytes() < kCachelineBytes) {
+            rec = off >> recShift_;
+            field = static_cast<unsigned>((off & rec_mask) >>
+                                          kFieldShift);
             return rec < schema_.numRecords;
         }
-        const std::uint64_t group_bytes =
-            static_cast<std::uint64_t>(gather_) * rec_bytes;
-        const std::uint64_t g = off / group_bytes;
-        const std::uint64_t r = off % group_bytes;
+        const unsigned group_shift = gatherShift_ + recShift_;
+        const std::uint64_t g = off >> group_shift;
+        const std::uint64_t r =
+            off & ((std::uint64_t{1} << group_shift) - 1);
         const std::uint64_t line_idx = r / kCachelineBytes;
         const unsigned within =
             static_cast<unsigned>(r % kCachelineBytes);
-        const std::uint64_t seg = line_idx / gather_;
-        const unsigned i = static_cast<unsigned>(line_idx % gather_);
-        rec = g * gather_ + i;
+        const std::uint64_t seg = line_idx >> gatherShift_;
+        const unsigned i =
+            static_cast<unsigned>(line_idx & (gather_ - 1));
+        rec = (g << gatherShift_) + i;
         field = static_cast<unsigned>(
-            (seg * kCachelineBytes + within) /
-            TableSchema::kFieldBytes);
+            (seg * kCachelineBytes + within) >> kFieldShift);
         return rec < schema_.numRecords &&
                field < schema_.numFields;
       }
@@ -315,9 +317,8 @@ void
 Table::buildLine(std::uint64_t off, std::uint8_t *line64) const
 {
     // Invert the layout: find the (record, field) word occupying every
-    // 8B slot. Calling slotOwner() per word costs two integer
-    // divisions each -- the hot loop of table materialization -- so
-    // exploit how every layout arranges a 64B-aligned line:
+    // 8B slot. Rather than one slotOwner() call per word, exploit how
+    // every layout arranges a 64B-aligned line:
     //   - ColumnStore: the line lies inside one field column (colSpan
     //     is a multiple of the row size), records advancing one per
     //     word;

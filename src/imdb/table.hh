@@ -52,8 +52,8 @@ bool passesPredicate(std::uint64_t record, unsigned field,
 
 /**
  * A table bound to a physical base address and a layout. Addressing is
- * purely arithmetic; materialize() writes the contents through the
- * functional data path.
+ * purely arithmetic, and so is the content: buildLine() composes any
+ * line on its own.
  */
 class Table
 {
@@ -102,7 +102,7 @@ class Table
     std::uint64_t footprintBytes() const;
 
     /** Bank-staggered per-column span of the column-store layout. */
-    std::uint64_t colSpan() const;
+    std::uint64_t colSpan() const { return colSpan_; }
 
     /**
      * Preferred morsel size (in groups) for parallel scans: the group
@@ -117,14 +117,20 @@ class Table
     /** Banks rotated over by vertical runs. */
     unsigned verticalBanks() const { return vgBanks_; }
 
-    /** Write every record into the functional memory. */
+    /**
+     * Write every line into the functional memory through the
+     * DataPath's encoder. Simulated systems read tables from a
+     * TableImage instead; this eager path is the reference the image
+     * is tested against.
+     */
     void materialize(DataPath &data_path) const;
 
     /**
      * Compose the 64B line at byte offset `off` from the table base
      * (layout inversion + deterministic field values). Pure function
      * of (schema, layout, off): safe to call from several threads at
-     * once, which is how TableCache parallelises cold builds.
+     * once, which is how concurrent first touches of a TableImage
+     * synthesize lines.
      */
     void buildLine(std::uint64_t off, std::uint8_t *line64) const;
 
@@ -138,11 +144,17 @@ class Table
     LayoutKind layout_;
     unsigned gather_;
     unsigned rowBytes_;
+    /** log2 of the record size and of the gather factor. */
+    unsigned recShift_ = 0;
+    unsigned gatherShift_ = 0;
+    /** Column-store per-field span (computed once). */
+    std::uint64_t colSpan_ = 0;
     /** VerticalGroup DRAM-coordinate addressing (bank/row slicing). */
     unsigned vgBankShift_ = 0;
     unsigned vgBanks_ = 1;
     unsigned vgRowShift_ = 0;
     unsigned vgSpan_ = 512;  ///< Records per vertical run (rows).
+    unsigned vgSpanShift_ = 9;
 };
 
 } // namespace sam

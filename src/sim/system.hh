@@ -148,10 +148,10 @@ class System
 {
   public:
     /**
-     * @param tables Shared materialized-table cache. When given, the
-     *        system installs pre-encoded table snapshots instead of
-     *        re-encoding every line; when null, tables are materialized
-     *        directly (standalone use).
+     * @param tables Shared table-image cache. Systems sharing one
+     *        install the same images, so each table line is built once
+     *        for all of them; when null, the system keeps a private
+     *        cache (standalone use).
      */
     explicit System(const SimConfig &config,
                     std::shared_ptr<TableCache> tables = nullptr);
@@ -189,7 +189,7 @@ class System
     /** Layout the design (or the ideal strategy) uses for a query. */
     LayoutKind layoutFor(const Query &query) const;
 
-    /** Materialized tables for a layout, rebuilt if dirtied. */
+    /** Tables for a layout, their image re-installed if dirtied. */
     TablePair &tablesFor(LayoutKind layout);
 
     SimConfig config_;

@@ -1,126 +1,60 @@
 #include "src/sim/table_cache.hh"
 
-#include <algorithm>
-
 #include "src/common/logging.hh"
-#include "src/common/thread_pool.hh"
-#include "src/ecc/ecc_engine.hh"
 
 namespace sam {
 
-namespace {
-
-/** Build the data bytes of lines [first, last) of `table` directly
- *  into consecutive snapshot slots starting at `slot0 + first`. The
- *  parity tail of each slot stays zero: the snapshot is lazy-parity,
- *  so the ECC encode -- the dominant materialization cost -- is
- *  deferred to the rare consumer that actually observes a codeword. */
-void
-buildRange(const Table &table, StoreSnapshot &snap, std::size_t slot0,
-           std::size_t first, std::size_t last)
-{
-    for (std::size_t i = first; i < last; ++i)
-        table.buildLine(i * kCachelineBytes, snap.mutableBlob(slot0 + i));
-}
-
-} // namespace
-
-TableCache::TableCache(unsigned build_threads)
-    : buildThreads_(build_threads ? build_threads
-                                  : ThreadPool::defaultWorkers())
-{
-}
-
-TableCache::~TableCache() = default;
-
-StoreSnapshot
-TableCache::buildSnapshot(const Table &ta, const Table &tb,
-                          unsigned parity_bytes)
-{
-    // Lay out the slot structure up front (ta fully, then tb, both in
-    // ascending address order -- exactly the insertion order direct
-    // materialization through a DataPath would produce), then build
-    // each line's data bytes independently into its slot. Parity stays
-    // zero-filled: the snapshot is marked lazy-parity and the
-    // installing store reconstructs codewords on demand.
-    StoreSnapshot snap;
-    snap.blobBytes = kCachelineBytes + parity_bytes;
-    snap.lazyParity = parity_bytes > 0;
-    sam_assert(ta.footprintBytes() % kCachelineBytes == 0 &&
-                   tb.footprintBytes() % kCachelineBytes == 0,
-               "table footprint not line-aligned");
-    const std::size_t ta_lines = ta.footprintBytes() / kCachelineBytes;
-    const std::size_t tb_lines = tb.footprintBytes() / kCachelineBytes;
-    const std::size_t ta_slot0 = snap.appendDenseRows(ta.base(), ta_lines);
-    const std::size_t tb_slot0 = snap.appendDenseRows(tb.base(), tb_lines);
-
-    // Small builds are not worth the fan-out overhead.
-    constexpr std::size_t kMinParallelLines = 1 << 14;
-    const std::size_t total = ta_lines + tb_lines;
-    if (buildThreads_ <= 1 || total < kMinParallelLines) {
-        buildRange(ta, snap, ta_slot0, 0, ta_lines);
-        buildRange(tb, snap, tb_slot0, 0, tb_lines);
-        return snap;
-    }
-
-    // Chunk each table's line range; every chunk writes a disjoint
-    // slot range, so the result is byte-identical at any thread count.
-    const std::size_t chunk =
-        std::max<std::size_t>(4096, total / (8 * buildThreads_));
-    std::vector<std::function<void()>> tasks;
-    auto chunkTable = [&](const Table &t, std::size_t slot0,
-                          std::size_t lines) {
-        for (std::size_t first = 0; first < lines; first += chunk) {
-            const std::size_t last = std::min(lines, first + chunk);
-            tasks.push_back([&t, &snap, slot0, first, last] {
-                buildRange(t, snap, slot0, first, last);
-            });
-        }
-    };
-    chunkTable(ta, ta_slot0, ta_lines);
-    chunkTable(tb, tb_slot0, tb_lines);
-
-    MutexLock pool_lock(poolMutex_);
-    if (!pool_)
-        pool_ = std::make_unique<ThreadPool>(buildThreads_);
-    pool_->run(std::move(tasks));
-    return snap;
-}
-
-std::shared_ptr<const StoreSnapshot>
-TableCache::materialized(const Table &ta, const Table &tb, EccScheme ecc)
+std::shared_ptr<const TableImage>
+TableCache::materialized(const Table &ta, const Table &tb,
+                         EccScheme /*ecc*/)
 {
     sam_assert(ta.layout() == tb.layout(),
                "table pair with mixed layouts");
-    // Lazy-parity snapshots hold only data bytes, so the cached blobs
-    // depend on the parity *size* (slot stride), not the ECC scheme:
-    // every chipkill scheme with the same parity footprint shares one
-    // build.
-    const unsigned parity_bytes = EccEngine::parityBytesFor(ecc);
-    const Key key{ta.layout(),          parity_bytes,
-                  ta.gather(),          ta.base(),
-                  ta.schema().numRecords, ta.schema().numFields,
-                  tb.base(),            tb.schema().numRecords,
-                  tb.schema().numFields};
+    const Key key{ta.layout(),          ta.gather(),
+                  ta.base(),            ta.schema().numRecords,
+                  ta.schema().numFields, tb.base(),
+                  tb.schema().numRecords, tb.schema().numFields};
 
-    std::shared_ptr<Entry> entry;
-    {
-        MutexLock lock(mutex_);
-        auto &slot = entries_[key];
-        if (!slot)
-            slot = std::make_shared<Entry>();
-        entry = slot;
-    }
-
-    MutexLock build_lock(entry->build);
-    if (entry->snap) {
+    MutexLock lock(mutex_);
+    std::shared_ptr<const TableImage> &image = images_[key];
+    if (image) {
         hits_.fetch_add(1);
-        return entry->snap;
+        return image;
     }
-    ++misses_;
-    entry->snap = std::make_shared<const StoreSnapshot>(
-        buildSnapshot(ta, tb, parity_bytes));
-    return entry->snap;
+    misses_.fetch_add(1);
+    sam_assert(ta.footprintBytes() % kCachelineBytes == 0 &&
+                   tb.footprintBytes() % kCachelineBytes == 0,
+               "table footprint not line-aligned");
+    std::vector<TableImage::Range> ranges{
+        {ta.base(), ta.footprintBytes() / kCachelineBytes},
+        {tb.base(), tb.footprintBytes() / kCachelineBytes}};
+    image = std::make_shared<const TableImage>(
+        std::move(ranges),
+        [ta, tb](std::size_t range, std::uint64_t off,
+                 std::uint8_t *line64) {
+            (range == 0 ? ta : tb).buildLine(off, line64);
+        });
+    return image;
+}
+
+std::uint64_t
+TableCache::linesSynthesized() const
+{
+    MutexLock lock(mutex_);
+    std::uint64_t n = 0;
+    for (const auto &[key, image] : images_)
+        n += image->linesSynthesized();
+    return n;
+}
+
+std::uint64_t
+TableCache::memoBytes() const
+{
+    MutexLock lock(mutex_);
+    std::uint64_t n = 0;
+    for (const auto &[key, image] : images_)
+        n += image->memoBytes();
+    return n;
 }
 
 } // namespace sam

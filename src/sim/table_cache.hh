@@ -1,23 +1,19 @@
 /**
  * @file
- * Process-wide cache of materialized benchmark tables.
+ * Process-wide cache of benchmark table images.
  *
- * Materializing a table pair builds every record line's data bytes --
- * historically it also ECC-encoded them, the dominant setup cost of
- * building a simulated system. Snapshots are now lazy-parity
- * (StoreSnapshot::lazyParity): slots hold real data but zero parity,
- * and the installing BackingStore reconstructs codewords on demand for
- * the rare consumers that observe one (fault corruption, decode under
- * injection, capture). The built bytes depend only on (schema, layout,
- * base address, gather factor, parity footprint), not on the design or
- * even the concrete ECC scheme, so a campaign running many designs and
- * sweep points builds each distinct table pair once and shares the
- * immutable blobs across all chipkill schemes alike.
+ * A table pair's contents are a pure function of (schema, layout, base
+ * address, gather factor): they depend neither on the design nor on
+ * the ECC scheme, because an image holds data bytes only and the
+ * installing store encodes parity on demand. The cache keeps one
+ * TableImage per distinct pair, so every design and sweep point of a
+ * campaign shares it, and each line is synthesized at most once per
+ * process, on its first touch. Creating an image allocates only its
+ * index directories, so a cold miss costs microseconds even for
+ * paper-scale tables.
  *
- * Thread-safe: campaign workers share one cache. A key is materialized
- * under its own entry lock, so concurrent first touches of different
- * keys proceed in parallel while duplicate touches of the same key
- * wait and then share.
+ * Thread-safe: campaign workers share one cache and read its images
+ * concurrently (see TableImage for the memo's locking).
  */
 
 #ifndef SAM_SIM_TABLE_CACHE_HH
@@ -36,67 +32,41 @@
 
 namespace sam {
 
-class ThreadPool;
-
 class TableCache
 {
   public:
     /**
-     * @param build_threads Worker threads for cold table encodes
-     *        (0 picks the host's core count, 1 builds serially). The
-     *        encoded bytes are identical at any thread count: the
-     *        snapshot's slot layout is fixed up front and workers
-     *        encode disjoint line ranges in place.
+     * The image of `ta` and `tb`, created on first request. It numbers
+     * lines ta fully, then tb, both ascending -- the order fault-target
+     * sampling walks. `ecc` is accepted for callers that key by
+     * system; the image does not depend on it.
      */
-    explicit TableCache(unsigned build_threads = 0);
-    ~TableCache();
-
-    /**
-     * The materialized contents of `ta` and `tb` under `ecc`, encoding
-     * them on first touch. The snapshot lists lines in materialization
-     * order (ta fully, then tb), matching what direct materialization
-     * into an empty store would produce, so installing it keeps
-     * fault-target sampling deterministic.
-     */
-    std::shared_ptr<const StoreSnapshot>
+    std::shared_ptr<const TableImage>
     materialized(const Table &ta, const Table &tb, EccScheme ecc);
 
     std::uint64_t hits() const { return hits_.load(); }
     std::uint64_t misses() const { return misses_.load(); }
 
-  private:
     /**
-     * Everything the built bytes depend on. Snapshots are lazy-parity
-     * (data bytes only), so the second component is the parity byte
-     * footprint rather than the ECC scheme -- all schemes with the
-     * same slot stride share one build.
+     * Lines synthesized into every image's memo so far, and the bytes
+     * the memos hold. Both depend on which runs touched which lines
+     * first, hence on run order under parallel workers: report them,
+     * never fold them into per-run results.
      */
-    using Key = std::tuple<LayoutKind, unsigned, unsigned,  // parity, gather
-                           Addr, std::uint64_t, unsigned,   // ta
-                           Addr, std::uint64_t, unsigned>;  // tb
+    std::uint64_t linesSynthesized() const;
+    std::uint64_t memoBytes() const;
 
-    struct Entry
-    {
-        Mutex build;
-        std::shared_ptr<const StoreSnapshot> snap SAM_GUARDED_BY(build);
-    };
+  private:
+    /** Everything the line bytes depend on. */
+    using Key = std::tuple<LayoutKind, unsigned,                   // gather
+                           Addr, std::uint64_t, unsigned,          // ta
+                           Addr, std::uint64_t, unsigned>;         // tb
 
-    /** Build both tables into a fresh lazy-parity snapshot (cold path). */
-    StoreSnapshot buildSnapshot(const Table &ta, const Table &tb,
-                                unsigned parity_bytes);
-
-    Mutex mutex_;
-    std::map<Key, std::shared_ptr<Entry>> entries_ SAM_GUARDED_BY(mutex_);
+    mutable Mutex mutex_;
+    std::map<Key, std::shared_ptr<const TableImage>>
+        images_ SAM_GUARDED_BY(mutex_);
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
-
-    unsigned buildThreads_;
-    /** Lazily created on the first parallel cold build and held across
-     *  run() (ThreadPool::run is not reentrant and not concurrently
-     *  callable, so simultaneous cold builds of different keys
-     *  serialize here -- each still encodes with all workers). */
-    Mutex poolMutex_;
-    std::unique_ptr<ThreadPool> pool_ SAM_GUARDED_BY(poolMutex_);
 };
 
 } // namespace sam

@@ -43,14 +43,14 @@ allBenchmarkQueries()
 }
 
 /**
- * Shared pre-encoded table snapshots: every runUnder() System starts
- * from identical bytes, and the suite does not pay a full table encode
- * per (design, query, replay variant) combination.
+ * Shared table images: every runUnder() System starts from identical
+ * bytes, and the suite builds each table line once, not once per
+ * (design, query, replay variant) combination.
  */
 std::shared_ptr<TableCache>
 sharedTables()
 {
-    static auto cache = std::make_shared<TableCache>(1);
+    static auto cache = std::make_shared<TableCache>();
     return cache;
 }
 

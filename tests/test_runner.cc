@@ -1,15 +1,22 @@
 /**
  * @file
  * Tests for the parallel campaign runner: the work-stealing thread
- * pool, campaign determinism across jobs counts, materialized-table
- * sharing through the TableCache, and the JSON writer.
+ * pool, campaign determinism across jobs counts, table-image sharing
+ * through the TableCache (with the images' differential and
+ * concurrency checks), and the JSON writer.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cstring>
 #include <gtest/gtest.h>
+#include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
+#include "src/common/bitops.hh"
 #include "src/common/json.hh"
 #include "src/core/session.hh"
 #include "src/runner/campaign.hh"
@@ -235,7 +242,7 @@ TEST(CampaignRunnerTest, RepeatedRunsShareTheTableCache)
     const auto &cache = runner.tableCache();
     const std::uint64_t misses_first = cache->misses();
     EXPECT_GT(misses_first, 0u);
-    // A second pass over the same specs re-encodes nothing.
+    // A second pass over the same specs creates no image.
     runner.run(specs);
     EXPECT_EQ(cache->misses(), misses_first);
     EXPECT_GT(cache->hits(), 0u);
@@ -251,16 +258,16 @@ TEST(SessionTest, SecondDesignReusesMaterializedTables)
     ASSERT_NE(cache, nullptr);
 
     // Qs1 is row-preferred, so the ideal design picks the row-store
-    // layout and shares Baseline's table snapshot.
+    // layout and shares Baseline's table image.
     const Query q = benchmarkQsQueries()[0];
     const RunStats first = session.run(DesignKind::Baseline, q);
     session.checkResult(q, first);
     const std::uint64_t misses_after_first = cache->misses();
     EXPECT_GT(misses_after_first, 0u);
 
-    // The second design's system must install the already-encoded
-    // snapshot instead of re-materializing, and still compute the
-    // correct functional result.
+    // The second design's system must install the cached image
+    // instead of creating another, and still compute the correct
+    // functional result.
     const RunStats second = session.run(DesignKind::Ideal, q);
     session.checkResult(q, second);
     EXPECT_EQ(cache->misses(), misses_after_first);
@@ -287,29 +294,183 @@ TEST(SessionTest, SessionsSharingACacheEncodeOnce)
     EXPECT_EQ(a.statsText, b.statsText);
 }
 
-TEST(TableCacheTest, ColdBuildBytesIdenticalAtAnyThreadCount)
+// ----- Table images -------------------------------------------------
+
+/** A small table pair on `layout`, Tb right after Ta. */
+struct TablePairFixture
 {
-    // Large enough (>= 2^14 lines total) that the 8-thread cache takes
-    // the parallel encode path rather than the small-build serial
-    // fallback; the snapshots must still match the serial build bit
-    // for bit.
-    const Geometry geom;
-    const TableSchema sa{"Ta", 16, 8192};  // 1 MiB
-    const TableSchema sb{"Tb", 8, 4096};   // 256 KiB
-    const Table ta(sa, Addr{1} << 30, LayoutKind::SamAligned, 8, geom);
-    const Table tb(sb, ta.base() + ta.footprintBytes(),
-                   LayoutKind::SamAligned, 8, geom);
+    Geometry geom;
+    Table ta;
+    Table tb;
 
-    TableCache serial(1);
-    TableCache parallel(8);
-    const auto a = serial.materialized(ta, tb, EccScheme::SscDsd);
-    const auto b = parallel.materialized(ta, tb, EccScheme::SscDsd);
+    explicit TablePairFixture(LayoutKind layout,
+                              std::uint64_t ta_records = 512,
+                              std::uint64_t tb_records = 1024)
+        : ta(TableSchema{"Ta", 16, ta_records}, Addr{1} << 30, layout, 8,
+             geom),
+          tb(TableSchema{"Tb", 8, tb_records},
+             roundUp(ta.base() + ta.footprintBytes(), Addr{1} << 30),
+             layout, 8, geom)
+    {}
 
-    ASSERT_EQ(a->size(), b->size());
-    EXPECT_EQ(a->blobBytes, b->blobBytes);
-    EXPECT_EQ(a->addrs, b->addrs);
-    EXPECT_EQ(a->clean, b->clean);
-    EXPECT_EQ(a->arena, b->arena);
+    std::size_t taLines() const
+    {
+        return ta.footprintBytes() / kCachelineBytes;
+    }
+    std::size_t lines() const
+    {
+        return taLines() + tb.footprintBytes() / kCachelineBytes;
+    }
+    /** The i-th line in geometry order: Ta ascending, then Tb. */
+    Addr lineAddr(std::size_t i) const
+    {
+        return i < taLines() ? ta.base() + i * kCachelineBytes
+                             : tb.base() + (i - taLines()) *
+                                               kCachelineBytes;
+    }
+};
+
+class TableCacheDiffTest
+    : public ::testing::TestWithParam<std::tuple<LayoutKind, EccScheme>>
+{};
+
+TEST_P(TableCacheDiffTest, InstalledImageMatchesMaterialize)
+{
+    // Every line of an installed image must read back exactly what
+    // eager materialization through the DataPath's encoder stores:
+    // the data bytes the image memoizes and the full codeword the
+    // store rebuilds from them.
+    const auto [layout, ecc] = GetParam();
+    const TablePairFixture t(layout);
+    DataPath eager(ecc);
+    t.ta.materialize(eager);
+    t.tb.materialize(eager);
+
+    TableCache cache;
+    DataPath lazy(ecc);
+    const auto image = cache.materialized(t.ta, t.tb, ecc);
+    ASSERT_EQ(image->size(), t.lines());
+    lazy.store().install(image);
+    ASSERT_EQ(lazy.store().lineCount(), eager.store().lineCount());
+
+    for (std::size_t i = 0; i < t.lines(); ++i) {
+        const Addr a = t.lineAddr(i);
+        const auto want = eager.store().readLine(a);
+        const BackingStore::LineRef ref = lazy.store().refLine(a);
+        ASSERT_NE(ref.data, nullptr);
+        ASSERT_TRUE(ref.clean);
+        ASSERT_EQ(std::memcmp(ref.data, want.data(), kCachelineBytes), 0)
+            << layoutName(layout) << " data bytes of line " << a;
+        ASSERT_EQ(lazy.store().readLine(a), want)
+            << layoutName(layout) << " codeword of line " << a;
+    }
+    EXPECT_EQ(cache.linesSynthesized(), t.lines());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LayoutsAndSchemes, TableCacheDiffTest,
+    ::testing::Combine(
+        ::testing::Values(LayoutKind::RowStore, LayoutKind::ColumnStore,
+                          LayoutKind::SamAligned,
+                          LayoutKind::VerticalGroup,
+                          LayoutKind::GsSegmented),
+        ::testing::Values(EccScheme::SecDed, EccScheme::SscDsd,
+                          EccScheme::None)),
+    [](const auto &info) {
+        std::string name =
+            layoutName(std::get<0>(info.param)) + "_" +
+            eccSchemeName(std::get<1>(info.param));
+        for (char &c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return name;
+    });
+
+TEST(TableCacheTest, ConcurrentFirstTouchesBuildIdenticalBytes)
+{
+    // Eight threads race to first-touch every line of one image, each
+    // in its own order; whoever wins each line, all threads must read
+    // the same bytes, equal to the builder's own output.
+    const TablePairFixture t(LayoutKind::SamAligned, 2048, 4096);
+    TableCache cache;
+    const auto image = cache.materialized(t.ta, t.tb, EccScheme::SscDsd);
+    const std::size_t n = image->size();
+    constexpr unsigned kThreads = 8;
+    std::vector<std::vector<std::uint8_t>> seen(
+        kThreads, std::vector<std::uint8_t>(n * kCachelineBytes));
+    std::vector<std::thread> threads;
+    for (unsigned th = 0; th < kThreads; ++th) {
+        threads.emplace_back([&, th] {
+            std::vector<std::size_t> order(n);
+            std::iota(order.begin(), order.end(), std::size_t{0});
+            if (th % 2 == 1)
+                std::reverse(order.begin(), order.end());
+            if (th >= 2) {
+                Rng rng(th);
+                for (std::size_t i = n - 1; i > 0; --i)
+                    std::swap(order[i], order[rng.below(i + 1)]);
+            }
+            for (std::size_t i : order) {
+                std::memcpy(seen[th].data() + i * kCachelineBytes,
+                            image->line(i), kCachelineBytes);
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    std::vector<std::uint8_t> want(n * kCachelineBytes);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Addr a = t.lineAddr(i);
+        const Table &table = i < t.taLines() ? t.ta : t.tb;
+        table.buildLine(a - table.base(),
+                        want.data() + i * kCachelineBytes);
+    }
+    for (unsigned th = 0; th < kThreads; ++th)
+        EXPECT_EQ(seen[th], want) << "thread " << th;
+    EXPECT_EQ(image->linesSynthesized(), n);
+    EXPECT_EQ(cache.linesSynthesized(), n);
+    EXPECT_GE(cache.memoBytes(), n * kCachelineBytes);
+}
+
+TEST(TableCacheTest, SampleLineFollowsGeometryOrderNotTouchOrder)
+{
+    // Fault-target sampling must pick the line the dense snapshot's
+    // address list (Ta ascending, then Tb ascending, then lines outside
+    // the tables) held at the drawn index, however the image's memo
+    // happens to be filled.
+    const TablePairFixture t(LayoutKind::RowStore);
+    TableCache cache;
+    BackingStore store(kCachelineBytes);
+    const auto image = cache.materialized(t.ta, t.tb, EccScheme::None);
+    store.install(image);
+    const Addr outside = Addr{1} << 40;
+    store.writeLine(outside, std::vector<std::uint8_t>(kCachelineBytes));
+    const std::size_t total = t.lines() + 1;
+    ASSERT_EQ(store.lineCount(), total);
+
+    const auto draw = [&](std::uint64_t seed) {
+        Rng rng(seed);
+        std::vector<Addr> picks;
+        for (unsigned i = 0; i < 2000; ++i)
+            picks.push_back(store.sampleLine(rng));
+        return picks;
+    };
+    Rng rng(42);
+    std::vector<Addr> dense;
+    for (unsigned i = 0; i < 2000; ++i) {
+        const std::size_t idx = rng.below(total);
+        dense.push_back(idx < t.lines() ? t.lineAddr(idx) : outside);
+    }
+    EXPECT_EQ(draw(42), dense);
+
+    // Touch Tb's lines backwards, then Ta's: the memo now holds them
+    // in an order unrelated to geometry, and the picks do not move.
+    for (std::size_t i = t.lines(); i-- > 0;)
+        store.refLine(t.lineAddr((i + t.taLines()) % t.lines()));
+    EXPECT_EQ(image->linesSynthesized(), t.lines());
+    EXPECT_EQ(draw(42), dense);
 }
 
 // ----- Json ----------------------------------------------------------

@@ -15,7 +15,11 @@ binaries, with real SIGKILLs:
      and a non-zero exit -- then resume to convergence;
   4. spot-check flag validation (usage errors exit 2);
   5. check that a silently wrong samsim result is reported as SDC and
-     exits 1.
+     exits 1;
+  6. check that running out of memory (paper-scale tables under a
+     512 MiB address-space limit) is a one-line diagnostic and exit 2.
+     Skipped when SAM_SANITIZE is set in the environment: sanitizer
+     runtimes reserve far more address space than the limit allows.
 
 Usage:
     python3 tools/chaos_smoke.py <samcampaign> [<samsim>]
@@ -26,6 +30,7 @@ binaries. Exit 0 on success, 1 with a diagnostic on the first failure.
 
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -200,6 +205,34 @@ def check_sdc_verdict(samsim, tmp):
     print(f"chaos_smoke: SDC verdict ok ({len(cases)} cases)")
 
 
+def check_oom_verdict(samsim, tmp):
+    """Out of memory is a one-line diagnostic and exit 2, not a crash."""
+    step = "oom samsim --scale paper"
+    if os.environ.get("SAM_SANITIZE"):
+        print(f"chaos_smoke: {step} skipped (sanitizer build)")
+        return
+    limit = 512 << 20
+
+    def cap_address_space():
+        # Child only: the limit is set between fork and exec.
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([samsim, "--scale", "paper", "--query", "Q1"],
+                          cwd=tmp, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True,
+                          preexec_fn=cap_address_space)
+    lines = proc.stderr.strip().splitlines()
+    if proc.returncode != 2 or len(lines) != 1 or \
+            "out of memory" not in lines[0]:
+        print(f"chaos_smoke: FAIL [{step}]: expected exit 2 and one "
+              f"'out of memory' stderr line, got exit "
+              f"{proc.returncode}")
+        for line in lines[-15:]:
+            print(f"  | {line}")
+        sys.exit(1)
+    print(f"chaos_smoke: {step} under a 512 MiB limit ok ({lines[0]})")
+
+
 def main():
     if len(sys.argv) < 2:
         print(__doc__)
@@ -214,6 +247,7 @@ def main():
         check_flag_validation(samcampaign, samsim, tmp)
         if samsim:
             check_sdc_verdict(samsim, tmp)
+            check_oom_verdict(samsim, tmp)
     print("chaos_smoke: all checks passed")
     return 0
 

@@ -12,7 +12,7 @@
  *
  * Per-run results are bit-identical for any --jobs value: every run
  * executes in a fresh single-threaded Session, sharing only the
- * immutable materialized-table cache.
+ * table-image cache, whose line bytes never depend on run order.
  *
  * Execution is crash-safe: every completed run is appended (and
  * fsynced) to a write-ahead journal before the campaign advances, so
@@ -36,11 +36,13 @@
 #include <sys/stat.h>
 
 #include <cerrno>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -517,6 +519,9 @@ main(int argc, char **argv)
 
     const std::string scale = sam::bench::scaleName();
     bool any_failed = false;
+    // Largest tables of the campaigns so far, for the OOM diagnostic.
+    std::uint64_t max_ta = 0;
+    std::uint64_t max_tb = 0;
 
     try {
         std::printf("samcampaign: %u worker(s), %s scale, %s "
@@ -561,6 +566,8 @@ main(int argc, char **argv)
                     spec.config.taRecords = ta_override;
                 if (tb_override != 0)
                     spec.config.tbRecords = tb_override;
+                max_ta = std::max(max_ta, spec.config.taRecords);
+                max_tb = std::max(max_tb, spec.config.tbRecords);
             }
 
             // Load the prior journal (resume) and open the write side.
@@ -685,6 +692,14 @@ main(int argc, char **argv)
                         run_ms / 1e3, path.c_str());
             any_failed = any_failed || !report.allDone();
         }
+    } catch (const std::bad_alloc &) {
+        std::fflush(stdout);
+        std::fprintf(stderr,
+                     "samcampaign: out of memory (Ta=%llu Tb=%llu "
+                     "records)\n",
+                     static_cast<unsigned long long>(max_ta),
+                     static_cast<unsigned long long>(max_tb));
+        return 2;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;

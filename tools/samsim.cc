@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 
 #include "src/common/json.hh"
@@ -432,6 +433,8 @@ main(int argc, char **argv)
     bool sdc = false;
     try {
         Session session(cfg);
+        // The cache the printed runs read their tables from.
+        std::shared_ptr<TableCache> tables = session.tableCache();
         std::printf("%s on %s (%s, Ta=%llu Tb=%llu records)\n",
                     query.name.c_str(), design_name.c_str(),
                     eccSchemeName(cfg.ecc).c_str(),
@@ -444,9 +447,10 @@ main(int argc, char **argv)
         if (compare && jobs != 1 && fail_chip < 0) {
             // Fan the design and baseline runs across a pool; each
             // executes in a fresh single-threaded Session sharing the
-            // materialized-table cache, so the printed numbers match
+            // table-image cache, so the printed numbers match
             // the serial path exactly.
             CampaignRunner runner(jobs);
+            tables = runner.tableCache();
             SimConfig dcfg = cfg;
             dcfg.design = design;
             SimConfig bcfg = cfg;
@@ -529,8 +533,17 @@ main(int argc, char **argv)
                         base.power.totalEnergyPj() /
                             run.power.totalEnergyPj());
         }
-        if (stats)
+        if (stats) {
             printStats(run);
+            // Process-wide, not per run: which run touched a line
+            // first depends on run order.
+            std::printf("sim.tableCache.linesSynthesized %llu\n"
+                        "sim.tableCache.memoBytes %llu\n",
+                        static_cast<unsigned long long>(
+                            tables->linesSynthesized()),
+                        static_cast<unsigned long long>(
+                            tables->memoBytes()));
+        }
 
         if (run.telemetry) {
             if (!telemetry_path.empty()) {
@@ -547,6 +560,13 @@ main(int argc, char **argv)
                             perfetto_path.c_str());
             }
         }
+    } catch (const std::bad_alloc &) {
+        std::fflush(stdout);
+        std::fprintf(stderr,
+                     "samsim: out of memory (Ta=%llu Tb=%llu records)\n",
+                     static_cast<unsigned long long>(cfg.taRecords),
+                     static_cast<unsigned long long>(cfg.tbRecords));
+        return 2;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
