@@ -77,17 +77,14 @@ BM_ControllerSequentialReads(benchmark::State &state)
 {
     Geometry geom;
     Device dev(geom, ddr4Timing());
-    DataPath dp(EccScheme::SscDsd);
     AddressMapping map(geom);
-    MemoryController ctrl(dev, dp, map, {}, false);
+    MemoryController ctrl(dev);
     Addr addr = Addr{1} << 30;
     std::uint64_t id = 1;
     for (auto _ : state) {
         MemRequest r;
         r.type = AccessType::Read;
-        r.addr = addr;
         r.id = id++;
-        r.setLine(addr);
         r.device.addr = map.decompose(addr);
         ctrl.push(std::move(r));
         benchmark::DoNotOptimize(ctrl.serviceNext());

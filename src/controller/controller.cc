@@ -12,8 +12,6 @@ namespace {
 RequestClass
 requestClassOf(const MemRequest &req)
 {
-    if (req.isScrub)
-        return RequestClass::Scrub;
     switch (req.type) {
       case AccessType::Read:        return RequestClass::Read;
       case AccessType::Write:       return RequestClass::Write;
@@ -39,13 +37,9 @@ ControllerStats::registerIn(StatGroup &group) const
                    "sum of read latencies (cycles)");
 }
 
-MemoryController::MemoryController(Device &device, DataPath &data_path,
-                                   const AddressMapping &mapping,
-                                   ControllerParams params,
-                                   bool functional)
-    : device_(device), dataPath_(data_path), mapping_(mapping),
-      params_(params), functional_(functional),
-      readQ_(device.geometry()), writeQ_(device.geometry())
+MemoryController::MemoryController(Device &device,
+                                   ControllerParams params)
+    : device_(device), params_(params), readQ_(device.geometry()), writeQ_(device.geometry())
 {
     device_.addRowListener(this);
 }
@@ -72,8 +66,6 @@ MemoryController::rowClosed(std::size_t flat_bank)
 void
 MemoryController::push(MemRequest req)
 {
-    sam_assert(req.gatherCount > 0,
-               "request not expanded by a design model");
     if (isWrite(req.type))
         writeQ_.push(std::move(req));
     else
@@ -106,67 +98,23 @@ MemoryController::serve(MemRequest req)
 
     switch (req.type) {
       case AccessType::Read:
-        if (functional_) {
-            c.outcome = dataPath_.readLine(req.gatherLines[0]);
-            pushScrubs(c.outcome, c.done, req.coreId);
-        }
         ++stats_.readsServed;
         stats_.totalReadLatency += static_cast<double>(c.done -
                                                        req.arrival);
         break;
       case AccessType::StrideRead:
-        if (functional_) {
-            c.outcome = dataPath_.strideRead(req.gatherLines.data(),
-                                             req.gatherCount, req.sector,
-                                             req.strideUnit);
-            pushScrubs(c.outcome, c.done, req.coreId);
-        }
         ++stats_.strideReadsServed;
         stats_.totalReadLatency += static_cast<double>(c.done -
                                                        req.arrival);
         break;
       case AccessType::Write:
-        if (functional_ && !req.isScrub) {
-            sam_assert(req.writeData.size() == kCachelineBytes,
-                       "write without a full-line payload");
-            dataPath_.writeLine(req.gatherLines[0], req.writeData);
-        }
         ++stats_.writesServed;
         break;
       case AccessType::StrideWrite:
-        if (functional_) {
-            sam_assert(req.writeData.size() == kCachelineBytes,
-                       "stride write without a full-line payload");
-            dataPath_.strideWrite(req.gatherLines.data(), req.gatherCount,
-                                  req.sector, req.strideUnit,
-                                  req.writeData.data());
-        }
         ++stats_.strideWritesServed;
         break;
     }
     return c;
-}
-
-void
-MemoryController::pushScrubs(const ReadOutcome &outcome, Cycle when,
-                             unsigned core_id)
-{
-    // Corrected lines are written back as real writes so the scrub
-    // traffic competes for write-queue slots and bus slots. The data
-    // movement already happened inside the DataPath; these requests are
-    // timing-only.
-    for (Addr line : outcome.scrubbedLines) {
-        MemRequest scrub;
-        scrub.type = AccessType::Write;
-        scrub.addr = line;
-        scrub.isScrub = true;
-        scrub.arrival = when;
-        scrub.coreId = core_id;
-        scrub.device.addr = mapping_.decompose(line);
-        scrub.device.isWrite = true;
-        scrub.setLine(line);
-        push(std::move(scrub));
-    }
 }
 
 std::optional<Completion>
@@ -193,15 +141,6 @@ MemoryController::serviceNext()
     else
         ++stats_.fcfsPicks;
     return serve(std::move(req));
-}
-
-Cycle
-MemoryController::drainAll()
-{
-    Cycle last = now_;
-    while (auto c = serviceNext())
-        last = std::max(last, c->done);
-    return last;
 }
 
 } // namespace sam

@@ -1,7 +1,9 @@
 /**
  * @file
  * FR-FCFS open-page memory controller (paper Table 2: open-page policy,
- * FR-FCFS scheduling, 32-entry write queue with watermark draining).
+ * FR-FCFS scheduling, posted writes drained between watermarks). It is
+ * timing-only: phase 1 already moved the bytes through the DataPath, so
+ * the controller schedules requests and moves no data.
  */
 
 #ifndef SAM_CONTROLLER_CONTROLLER_HH
@@ -10,21 +12,21 @@
 #include <cstdint>
 #include <optional>
 
+#include "src/common/logging.hh"
 #include "src/common/stats.hh"
 #include "src/controller/address_mapping.hh"
 #include "src/controller/request.hh"
 #include "src/controller/request_queue.hh"
-#include "src/dram/data_path.hh"
 #include "src/dram/device.hh"
 
 namespace sam {
 
+class DataPath;
 class Telemetry;
 
 /** Controller tuning knobs. */
 struct ControllerParams
 {
-    unsigned writeQueueCapacity = 32;  ///< Table 2.
     unsigned writeHighWatermark = 24;  ///< Start draining writes.
     unsigned writeLowWatermark = 8;    ///< Stop draining writes.
     Cycle pipelineLatency = 4;         ///< Controller + ECC decode.
@@ -46,12 +48,11 @@ struct ControllerStats
 
 /**
  * One channel's memory controller. Owns scheduling; the Device owns
- * timing state; the DataPath owns functional data.
+ * timing state.
  *
  * Event-driven: serviceNext() picks the best eligible request under
- * FR-FCFS, issues it to the device, performs the functional transfer,
- * and returns the completion. The internal clock advances to each
- * serviced request's issue time.
+ * FR-FCFS, issues it to the device and returns the completion. The
+ * internal clock advances to each serviced request's issue time.
  *
  * The controller registers as the device's RowStateListener and
  * forwards row open/close transitions to both queues, which keep an
@@ -60,16 +61,21 @@ struct ControllerStats
 class MemoryController : public RowStateListener
 {
   public:
+    explicit MemoryController(Device &device,
+                              ControllerParams params = {});
+
     /**
-     * @param functional When false the controller is timing-only: it
-     *        schedules commands but performs no data movement (used by
-     *        the trace-replay phase, whose functional effects already
-     *        happened during trace generation).
+     * Compatibility form for campaignbench/layer_adapter.cc, its only
+     * caller; remove it with the benchmark change of ROADMAP item 3.
+     * The controller is timing-only: `functional` must be false and the
+     * DataPath is ignored.
      */
-    MemoryController(Device &device, DataPath &data_path,
-                     const AddressMapping &mapping,
-                     ControllerParams params = {},
-                     bool functional = true);
+    MemoryController(Device &device, DataPath &, const AddressMapping &,
+                     ControllerParams params, bool functional)
+        : MemoryController(device, params)
+    {
+        sam_assert(!functional, "the memory controller is timing-only");
+    }
     ~MemoryController() override;
 
     MemoryController(const MemoryController &) = delete;
@@ -92,30 +98,8 @@ class MemoryController : public RowStateListener
      */
     std::optional<Completion> serviceNext();
 
-    /** Serve everything currently queued; returns the last done time. */
-    Cycle drainAll();
-
     Cycle now() const { return now_; }
     const ControllerStats &stats() const { return stats_; }
-    Device &device() { return device_; }
-
-    /**
-     * Forward a command observer to the underlying device (the hook the
-     * src/check protocol oracle and the telemetry tracer use to watch
-     * the command stream).
-     */
-    void
-    addCommandObserver(const void *owner, CommandObserver obs)
-    {
-        device_.addCommandObserver(owner, std::move(obs));
-    }
-
-    /** Detach counterpart of addCommandObserver (no-op if absent). */
-    void
-    removeCommandObserver(const void *owner)
-    {
-        device_.removeCommandObserver(owner);
-    }
 
     /**
      * Attach a telemetry collector. The controller reports request
@@ -124,22 +108,13 @@ class MemoryController : public RowStateListener
      */
     void setTelemetry(Telemetry *telemetry) { telemetry_ = telemetry; }
 
-    DataPath &dataPath() { return dataPath_; }
-
   private:
-    /** Issue to device + functional data movement. */
+    /** Issue one request to the device. */
     Completion serve(MemRequest req);
 
-    /** Enqueue timing-only scrub writebacks a read outcome triggered. */
-    void pushScrubs(const ReadOutcome &outcome, Cycle when,
-                    unsigned core_id);
-
     Device &device_;
-    DataPath &dataPath_;
-    const AddressMapping &mapping_;
     ControllerParams params_;
 
-    bool functional_;
     Telemetry *telemetry_ = nullptr;
     RequestQueue readQ_;
     RequestQueue writeQ_;

@@ -79,10 +79,8 @@ DesignModel::lineRequest(AccessType type, Addr line_addr, Cycle arrival,
 
     MemRequest req;
     req.type = type;
-    req.addr = line_addr;
     req.arrival = arrival;
     req.coreId = core_id;
-    req.setLine(line_addr);
     req.device.addr = mapping_.decompose(line_addr);
     req.device.isWrite = isWrite(type);
     req.device.mode = AccessMode::Regular;
@@ -105,12 +103,8 @@ DesignModel::strideRequest(AccessType type, const Addr *lines,
 
     MemRequest req;
     req.type = type;
-    req.addr = lines[0];
-    req.sector = sector;
-    req.strideUnit = strideUnit_;
     req.arrival = arrival;
     req.coreId = core_id;
-    req.setLines(lines, count);
     req.device.isWrite = isWrite(type);
 
     MappedAddr m = mapping_.decompose(lines[0]);

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <new>
 #include <thread>
 
 #include <poll.h>
@@ -28,8 +29,16 @@ failureKindName(FailureKind kind)
       case FailureKind::Hang: return "hang";
       case FailureKind::Error: return "error";
       case FailureKind::Corrupt: return "corrupt";
+      case FailureKind::OutOfMemory: return "oom";
     }
     return "?";
+}
+
+std::string
+outOfMemoryMessage(std::uint64_t ta_records, std::uint64_t tb_records)
+{
+    return "out of memory (Ta=" + std::to_string(ta_records) +
+           " Tb=" + std::to_string(tb_records) + " records)";
 }
 
 unsigned
@@ -52,6 +61,9 @@ RetryPolicy::backoffMs(std::size_t specIdx, unsigned attempt) const
 }
 
 namespace {
+
+/** Forked-worker exit code for a run that ran out of memory. */
+constexpr int kOutOfMemoryExit = 4;
 
 /** Monotonic milliseconds for deadlines and backoff scheduling. */
 std::int64_t
@@ -133,6 +145,8 @@ childWorker(const RunSpec &spec, const ChaosPlan &plan, int fd)
         payload.set("power", powerJson(r.stats.power));
         payload.set("run", runResultJson(r));
         line = payload.dump(0);
+    } catch (const std::bad_alloc &) {
+        exitCode = kOutOfMemoryExit;
     } catch (const std::exception &e) {
         Json payload = Json::object();
         payload.set("error", std::string(e.what()));
@@ -246,6 +260,13 @@ Supervisor::runThreaded(const std::vector<RunSpec> &specs,
                               std::move(record), std::move(power),
                               slot);
                     return;
+                } catch (const std::bad_alloc &) {
+                    failRun(spec, hash, attempt,
+                            FailureKind::OutOfMemory,
+                            outOfMemoryMessage(spec.config.taRecords,
+                                               spec.config.tbRecords),
+                            slot);
+                    return;
                 } catch (const std::exception &e) {
                     lastError = e.what();
                     if (attempt < config_.retry.maxAttempts) {
@@ -356,6 +377,10 @@ Supervisor::runForked(const std::vector<RunSpec> &specs,
                 error = "killed by signal " +
                         std::to_string(WTERMSIG(status));
             }
+        } else if (WEXITSTATUS(status) == kOutOfMemoryExit) {
+            kind = FailureKind::OutOfMemory;
+            error = outOfMemoryMessage(spec.config.taRecords,
+                                       spec.config.tbRecords);
         } else if (WEXITSTATUS(status) != 0) {
             kind = FailureKind::Error;
             error = "worker exit code " +
@@ -389,7 +414,8 @@ Supervisor::runForked(const std::vector<RunSpec> &specs,
                       report.runs[slot.idx]);
             return;
         }
-        if (slot.attempt < config_.retry.maxAttempts) {
+        if (kind != FailureKind::OutOfMemory &&
+            slot.attempt < config_.retry.maxAttempts) {
             pending.push_back(
                 {slot.idx, slot.attempt + 1,
                  nowMs() + config_.retry.backoffMs(slot.idx,

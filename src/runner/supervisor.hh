@@ -20,6 +20,10 @@
  *            report) failures, so no worker misbehaviour — including
  *            chaos-injected SIGKILL — can corrupt campaign state
  *
+ * In both modes a run that runs out of memory (std::bad_alloc) fails
+ * at once as FailureKind::OutOfMemory, with outOfMemoryMessage() as its
+ * error: a retry would ask for the same memory again.
+ *
  * Retries use exponential backoff with deterministic seeded jitter
  * (RetryPolicy::backoffMs is a pure function of seed, spec index, and
  * attempt), so a retried campaign replays its schedule exactly. The
@@ -53,9 +57,13 @@ namespace sam {
 enum class Isolation { Thread, Process };
 
 /** Why an attempt (or a run, once retries exhaust) failed. */
-enum class FailureKind { None, Crash, Hang, Error, Corrupt };
+enum class FailureKind { None, Crash, Hang, Error, Corrupt, OutOfMemory };
 
 const char *failureKindName(FailureKind kind);
+
+/** One-line diagnostic "out of memory (Ta=<n> Tb=<n> records)". */
+std::string outOfMemoryMessage(std::uint64_t ta_records,
+                               std::uint64_t tb_records);
 
 /** Bounded retry with exponential backoff and seeded jitter. */
 struct RetryPolicy

@@ -165,8 +165,7 @@ System::runQuery(const Query &query)
     // ----- Phase 2: timing replay -----------------------------------
     DesignModel model(spec_, mapping_, strideUnit_);
     Device device(geom_, timing_);
-    MemoryController controller(device, dataPath_, mapping_, {},
-                                /*functional=*/false);
+    MemoryController controller(device);
     std::unique_ptr<ProtocolChecker> checker;
     if (config_.check) {
         checker = std::make_unique<ProtocolChecker>(geom_, timing_);

@@ -53,7 +53,6 @@ requestClassName(RequestClass cls)
       case RequestClass::Write:       return "write";
       case RequestClass::StrideRead:  return "stride_read";
       case RequestClass::StrideWrite: return "stride_write";
-      case RequestClass::Scrub:       return "scrub";
     }
     panic("unknown RequestClass");
 }

@@ -47,10 +47,9 @@ enum class RequestClass {
     Write,
     StrideRead,
     StrideWrite,
-    Scrub,
 };
 
-inline constexpr std::size_t kRequestClasses = 5;
+inline constexpr std::size_t kRequestClasses = 4;
 
 std::string requestClassName(RequestClass cls);
 

@@ -160,7 +160,10 @@ TEST_F(DesignModelTest, RegularRequestIsSingleLine)
     DesignModel model(makeDesign(DesignKind::SamEn), mapping, 8);
     const MemRequest r =
         model.lineRequest(AccessType::Read, 0x4000, 10, 2);
-    EXPECT_EQ(r.gatherCount, 1u);
+    const MappedAddr m = mapping.decompose(0x4000);
+    EXPECT_TRUE(r.device.addr.sameRow(m));
+    EXPECT_EQ(r.device.addr.column, m.column);
+    EXPECT_FALSE(r.device.isWrite);
     EXPECT_EQ(r.device.mode, AccessMode::Regular);
     EXPECT_EQ(r.arrival, 10u);
     EXPECT_EQ(r.coreId, 2u);
@@ -178,8 +181,11 @@ TEST_F(DesignModelTest, SamStrideStaysInRowAndUsesStrideMode)
         model.strideRequest(AccessType::StrideRead, plan, 5, 0);
     EXPECT_EQ(r.device.mode, AccessMode::Stride);
     EXPECT_FALSE(r.device.columnActivate);
-    EXPECT_EQ(r.gatherCount, 8u);
-    EXPECT_EQ(r.strideUnit, 8u);
+    // The gather drives the row of its first source line.
+    const MappedAddr first = mapping.decompose(plan.lines[0]);
+    EXPECT_TRUE(r.device.addr.sameRow(first));
+    EXPECT_EQ(r.device.addr.column, first.column);
+    EXPECT_EQ(r.type, AccessType::StrideRead);
 }
 
 TEST_F(DesignModelTest, CrossRowSubRowGatherRejected)

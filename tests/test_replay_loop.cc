@@ -85,10 +85,8 @@ struct Rig
     Geometry geom;
     TimingParams timing = ddr4Timing();
     AddressMapping mapping{geom};
-    DataPath data{EccScheme::SecDed};
     Device device{geom, timing};
-    MemoryController controller{device, data, mapping, {},
-                                /*functional=*/false};
+    MemoryController controller{device};
     DesignModel model{makeDesign(DesignKind::Baseline), mapping, 8};
     ProtocolChecker checker{geom, timing};
     std::vector<std::string> commands;

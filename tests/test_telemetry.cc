@@ -371,7 +371,7 @@ TEST(Telemetry, AttributesLatencyAndCommandsToRequests)
     EXPECT_GE(snap->totalCommands, 2u); // at least ACT + RD (+WR)
     EXPECT_EQ(snap->classHistogram(RequestClass::Read).count(), 1u);
     EXPECT_EQ(snap->classHistogram(RequestClass::Write).count(), 1u);
-    EXPECT_EQ(snap->classHistogram(RequestClass::Scrub).count(), 0u);
+    EXPECT_EQ(snap->classHistogram(RequestClass::StrideRead).count(), 0u);
     EXPECT_EQ(snap->latency[0].min(), r0.done); // arrival 0
 
     ASSERT_EQ(snap->requests.size(), 2u);

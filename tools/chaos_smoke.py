@@ -17,9 +17,11 @@ binaries, with real SIGKILLs:
   5. check that a silently wrong samsim result is reported as SDC and
      exits 1;
   6. check that running out of memory (paper-scale tables under a
-     512 MiB address-space limit) is a one-line diagnostic and exit 2.
-     Skipped when SAM_SANITIZE is set in the environment: sanitizer
-     runtimes reserve far more address space than the limit allows.
+     512 MiB address-space limit) is a one-line diagnostic and exit 2,
+     for samsim and for samcampaign under both isolation modes, whose
+     runs must fail without a retry. Skipped when SAM_SANITIZE is set
+     in the environment: sanitizer runtimes reserve far more address
+     space than the limit allows.
 
 Usage:
     python3 tools/chaos_smoke.py <samcampaign> [<samsim>]
@@ -205,22 +207,28 @@ def check_sdc_verdict(samsim, tmp):
     print(f"chaos_smoke: SDC verdict ok ({len(cases)} cases)")
 
 
+OOM_LIMIT = 512 << 20
+
+
+def run_capped(cmd, cwd):
+    """Run `cmd` under a 512 MiB address-space limit (child only)."""
+
+    def cap_address_space():
+        # Child only: the limit is set between fork and exec.
+        resource.setrlimit(resource.RLIMIT_AS, (OOM_LIMIT, OOM_LIMIT))
+
+    return subprocess.run(cmd, cwd=cwd, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True,
+                          preexec_fn=cap_address_space)
+
+
 def check_oom_verdict(samsim, tmp):
     """Out of memory is a one-line diagnostic and exit 2, not a crash."""
     step = "oom samsim --scale paper"
     if os.environ.get("SAM_SANITIZE"):
         print(f"chaos_smoke: {step} skipped (sanitizer build)")
         return
-    limit = 512 << 20
-
-    def cap_address_space():
-        # Child only: the limit is set between fork and exec.
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    proc = subprocess.run([samsim, "--scale", "paper", "--query", "Q1"],
-                          cwd=tmp, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True,
-                          preexec_fn=cap_address_space)
+    proc = run_capped([samsim, "--scale", "paper", "--query", "Q1"], tmp)
     lines = proc.stderr.strip().splitlines()
     if proc.returncode != 2 or len(lines) != 1 or \
             "out of memory" not in lines[0]:
@@ -231,6 +239,41 @@ def check_oom_verdict(samsim, tmp):
             print(f"  | {line}")
         sys.exit(1)
     print(f"chaos_smoke: {step} under a 512 MiB limit ok ({lines[0]})")
+
+
+def check_campaign_oom(samcampaign, tmp):
+    """A run out of memory fails at once; the campaign exits 2."""
+    if os.environ.get("SAM_SANITIZE"):
+        print("chaos_smoke: oom samcampaign skipped (sanitizer build)")
+        return
+    for isolate in ("thread", "proc"):
+        step = f"oom samcampaign --scale paper --isolate {isolate}"
+        out = os.path.join(tmp, f"oom_{isolate}")
+        os.mkdir(out)
+        proc = run_capped([samcampaign, "--fig", "12", "--scale", "paper",
+                           "--only", "SAM-en/Q1", "--isolate", isolate],
+                          out)
+        output = proc.stdout + proc.stderr
+        failed = [l for l in proc.stdout.splitlines() if ": FAILED " in l]
+        problems = []
+        if proc.returncode != 2:
+            problems.append(f"expected exit 2, got {proc.returncode}")
+        if not failed:
+            problems.append("no FAILED run line")
+        for line in failed:
+            if "after 1 attempt(s): out of memory (Ta=" not in line or \
+                    not line.endswith("records) (oom)"):
+                problems.append("not a one-attempt out-of-memory "
+                                f"failure: {line}")
+        if "bad_alloc" in output:
+            problems.append("bare std::bad_alloc in the output")
+        if problems:
+            print(f"chaos_smoke: FAIL [{step}]: {'; '.join(problems)}")
+            for line in output.splitlines()[-15:]:
+                print(f"  | {line}")
+            sys.exit(1)
+        print(f"chaos_smoke: {step} under a 512 MiB limit ok "
+              f"({len(failed)} runs failed once with exit 2)")
 
 
 def main():
@@ -248,6 +291,7 @@ def main():
         if samsim:
             check_sdc_verdict(samsim, tmp)
             check_oom_verdict(samsim, tmp)
+        check_campaign_oom(samcampaign, tmp)
     print("chaos_smoke: all checks passed")
     return 0
 

@@ -85,7 +85,9 @@ usage(int code)
         "  --timeout <sec>        per-attempt deadline, SIGKILL +\n"
         "                         retry on expiry (proc mode only)\n"
         "  --retries <n>          attempts per run before FAILED\n"
-        "                         (default 3)\n"
+        "                         (default 3; a run that runs out of\n"
+        "                         memory fails at once, and the\n"
+        "                         campaign exits 2)\n"
         "  --journal <path>       write-ahead journal location\n"
         "                         (default <out>/JOURNAL_<fig>.jsonl;\n"
         "                         single --fig only)\n"
@@ -519,6 +521,7 @@ main(int argc, char **argv)
 
     const std::string scale = sam::bench::scaleName();
     bool any_failed = false;
+    bool any_oom = false;  // A failed run ran out of memory: exit 2.
     // Largest tables of the campaigns so far, for the OOM diagnostic.
     std::uint64_t max_ta = 0;
     std::uint64_t max_tb = 0;
@@ -647,6 +650,8 @@ main(int argc, char **argv)
                     row.set("error", run.error);
                     row.set("attempts", run.attempts);
                     failed.push(std::move(row));
+                    any_oom = any_oom ||
+                              run.failure == FailureKind::OutOfMemory;
                     std::printf("%s: FAILED %s after %u attempt(s): "
                                 "%s (%s)\n",
                                 def->name.c_str(),
@@ -694,15 +699,12 @@ main(int argc, char **argv)
         }
     } catch (const std::bad_alloc &) {
         std::fflush(stdout);
-        std::fprintf(stderr,
-                     "samcampaign: out of memory (Ta=%llu Tb=%llu "
-                     "records)\n",
-                     static_cast<unsigned long long>(max_ta),
-                     static_cast<unsigned long long>(max_tb));
+        std::fprintf(stderr, "samcampaign: %s\n",
+                     outOfMemoryMessage(max_ta, max_tb).c_str());
         return 2;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
     }
-    return any_failed ? 1 : 0;
+    return any_oom ? 2 : any_failed ? 1 : 0;
 }
